@@ -15,7 +15,7 @@ which is what `ramanujan` evaluates.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd, isqrt
+from math import gcd
 
 
 def _check_positive(n: int) -> None:
@@ -55,16 +55,7 @@ def prime_factors(n: int) -> tuple[int, ...]:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    for d in range(3, isqrt(n) + 1, 2):
-        if n % d == 0:
-            return False
-    return True
+    return n >= 2 and factorize(n) == ((n, 1),)
 
 
 @lru_cache(maxsize=None)

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 
 from . import closed_forms, families, oracle
@@ -58,6 +59,26 @@ def _range_arg(text: str) -> tuple[int, int]:
     if a < 2 or b < a:
         raise argparse.ArgumentTypeError(f"need 2 <= a <= b, got {text!r}")
     return a, b
+
+
+def _budget_arg(text: str) -> int:
+    try:
+        budget = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+    if budget < 1:
+        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {budget}")
+    return budget
+
+
+def _tol_arg(text: str) -> float:
+    try:
+        tol = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
+    if not 0 <= tol < math.inf:
+        raise argparse.ArgumentTypeError(f"tolerance must be finite and >= 0, got {text!r}")
+    return tol
 
 
 def _pair_arg(text: str) -> tuple[int, int]:
@@ -245,7 +266,7 @@ def cmd_verify_oracle(parser, args) -> int:
 def _add_range_target(sub, default_budget: int = DEFAULT_BUDGET):
     sub.add_argument("target", nargs="?", type=_range_arg, help="single n or inclusive a..b")
     sub.add_argument("--range", type=_range_arg, help="inclusive range a..b")
-    sub.add_argument("--budget", type=int, default=default_budget,
+    sub.add_argument("--budget", type=_budget_arg, default=default_budget,
                      help=f"max divisor subsets per n (default {default_budget})")
 
 
@@ -305,7 +326,7 @@ def build_parser() -> _Parser:
 
     p = add_verb("verify-oracle", "exact spectra vs trigonometric oracle")
     _add_range_target(p, default_budget=2048)
-    p.add_argument("--tol", type=float, default=1e-6, help="comparison tolerance")
+    p.add_argument("--tol", type=_tol_arg, default=1e-6, help="comparison tolerance")
     p.set_defaults(func=cmd_verify_oracle)
 
     return parser

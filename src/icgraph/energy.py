@@ -18,16 +18,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import euler_phi
-from .graphs import IcgSpec, spectrum
-from .sweep import DEFAULT_BUDGET, iter_subset_spectra, mask_divisors, proper_divisors
+from .arith import divisors, euler_phi
+from .graphs import IcgSpec, block_energies, spectrum
+from .sweep import DEFAULT_BUDGET, iter_class_blocks, mask_divisors, proper_divisors
 
 
 def energy(spec: IcgSpec) -> int:
     """E(ICG_n(D)) = sum of |lambda_j|, an exact (and always even) integer."""
-    return sum(abs(v) for v in spectrum(spec).values)
+    return spectrum(spec).energy()
 
 
 def lambda_half(spec: IcgSpec) -> int:
@@ -40,13 +38,17 @@ def lambda_half(spec: IcgSpec) -> int:
     return sum((-1) ** d * euler_phi(spec.n // d) for d in spec.divisors)
 
 
+def _residue_rule(half_in_d, middle):
+    """The even-n prediction: 2 where n/2 is in D and lambda_{n/2} < 0, else 0.
+
+    Works on plain bools and ints, and elementwise on numpy arrays.
+    """
+    return 2 * (half_in_d & (middle < 0))
+
+
 def mod4_predicted(spec: IcgSpec) -> int:
     """Predicted energy residue mod 4: 0 or 2, per the dichotomy above."""
-    if spec.n % 2:
-        return 0
-    if spec.n // 2 in spec.divisors and lambda_half(spec) < 0:
-        return 2
-    return 0
+    return energy_report(spec).predicted4
 
 
 def hyperenergetic(spec: IcgSpec) -> bool:
@@ -84,15 +86,18 @@ class EnergyReport:
 
 def energy_report(spec: IcgSpec) -> EnergyReport:
     """Bundle energy, observed and predicted residue, and the middle-eigenvalue data."""
-    e = energy(spec)
+    s = spectrum(spec)
+    e = s.energy()
     even = spec.n % 2 == 0
+    half_in_d = even and spec.n // 2 in spec.divisors
+    middle = s.at(spec.n // 2) if even else None
     return EnergyReport(
         spec=spec,
         energy=e,
         residue4=e % 4,
-        predicted4=mod4_predicted(spec),
-        lambda_half=lambda_half(spec) if even else None,
-        half_in_D=even and spec.n // 2 in spec.divisors,
+        predicted4=_residue_rule(half_in_d, middle) if even else 0,
+        lambda_half=middle,
+        half_in_D=half_in_d,
         hyperenergetic=e > 2 * spec.n - 2,
     )
 
@@ -101,22 +106,21 @@ def mod4_rows(n: int, budget: int = DEFAULT_BUDGET):
     """Yield (divisor set, energy, residue4, predicted4) for every D of n.
 
     Deterministic order (ascending subset bitmask over ascending divisors).
-    The residues are computed from the running spectrum vector, so a full
-    sweep costs far less than building each graph separately.
+    Energies and middle eigenvalues come a block of divisor sets at a time
+    from the class eigenvalues, so no graph is built on its own.
     """
+    import numpy as np
+
     divs = proper_divisors(n)
-    half_bit = None
-    if n % 2 == 0:
-        half_bit = divs.index(n // 2)
-    absbuf = np.empty(n, dtype=np.int64)
-    for mask, vec in iter_subset_spectra(n, budget):
-        np.abs(vec, out=absbuf)
-        e = int(absbuf.sum())
-        if n % 2 == 0 and mask >> half_bit & 1 and vec[n // 2] < 0:
-            predicted = 2
+    for masks, L in iter_class_blocks(n, budget):
+        energies = block_energies(L, n)
+        if n % 2:
+            predicted = np.zeros_like(masks)
         else:
-            predicted = 0
-        yield mask_divisors(mask, divs), e, e % 4, predicted
+            half_in_d = (masks >> divs.index(n // 2) & 1).astype(bool)
+            predicted = _residue_rule(half_in_d, L[:, divisors(n).index(n // 2)])
+        for mask, e, p in zip(masks.tolist(), energies.tolist(), predicted.tolist()):
+            yield mask_divisors(mask, divs), e, e % 4, p
 
 
 @dataclass(frozen=True)

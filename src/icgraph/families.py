@@ -24,14 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-import numpy as np
-
-from .arith import euler_phi, factorize, prime_factors
-from .graphs import IcgSpec, Spectrum, spectrum
+from .arith import divisors, euler_phi, factorize, prime_factors
+from .graphs import IcgSpec, Spectrum, block_energies, cospectral_keys, spectrum
 from .sweep import (
     DEFAULT_BUDGET,
     check_budget,
-    iter_subset_spectra,
+    iter_class_blocks,
     mask_divisors,
     proper_divisors,
     subset_gcd_table,
@@ -62,19 +60,20 @@ def cospectral(a: IcgSpec, b: IcgSpec) -> bool:
     """True iff the two graphs have identical eigenvalue multisets."""
     if a.n != b.n:
         raise ValueError(f"cospectrality needs equal orders, got {a.n} and {b.n}")
-    return spectrum(a).sorted_values() == spectrum(b).sorted_values()
+    return spectrum(a).cospectral_key() == spectrum(b).cospectral_key()
 
 
 def _family_report(n: int, members: list[IcgSpec]) -> FamilyReport:
-    energies = [sum(abs(v) for v in spectrum(m).values) for m in members]
+    spectra = [spectrum(m) for m in members]
+    energies = [s.energy() for s in spectra]
     if len(set(energies)) != 1:
         raise ArithmeticError(
             "family members disagree on energy: "
             + ", ".join(f"{m}={e}" for m, e in zip(members, energies))
         )
-    sorted_specs = [spectrum(m).sorted_values() for m in members]
+    keys = [s.cospectral_key() for s in spectra]
     matrix = tuple(
-        tuple(sorted_specs[i] == sorted_specs[j] for j in range(len(members)))
+        tuple(keys[i] == keys[j] for j in range(len(members)))
         for i in range(len(members))
     )
     for i in range(len(members)):
@@ -197,17 +196,18 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     """
     sets = check_budget(n, budget)
     divs = proper_divisors(n)
-    groups: dict[bytes, list[int]] = {}
-    for mask, vec in iter_subset_spectra(n, budget):
-        groups.setdefault(np.sort(vec).tobytes(), []).append(mask)
-    collisions = []
-    for key in sorted(groups):
-        masks = groups[key]
-        if len(masks) > 1:
-            collisions.append(
-                tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in sorted(masks))
-            )
-    return SoReport(n, sets, tuple(collisions))
+    first: dict[bytes, int] = {}  # key -> smallest mask with that spectrum
+    groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key
+    for masks, L in iter_class_blocks(n, budget):
+        for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
+            owner = first.setdefault(key.tobytes(), mask)
+            if owner != mask:
+                groups.setdefault(owner, [owner]).append(mask)
+    collisions = tuple(
+        tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in groups[owner])
+        for owner in sorted(groups)
+    )
+    return SoReport(n, sets, collisions)
 
 
 @dataclass(frozen=True)
@@ -255,21 +255,25 @@ def min_energy_search(
     and the report carries the predicted minimum for comparison: n itself
     for even n, 2n(1 - 1/p) for odd n with smallest prime p.
     """
+    import numpy as np
+
     check_budget(n, budget)
     divs = proper_divisors(n)
-    gcds = subset_gcd_table(divs) if connected_only else None
+    connected = np.array(subset_gcd_table(divs)) == 1 if connected_only else None
     best = None
     argmin: list[int] = []
-    buf = np.empty(n, dtype=np.int64)
-    for mask, vec in iter_subset_spectra(n, budget):
-        if gcds is not None and gcds[mask] != 1:
+    for masks, L in iter_class_blocks(n, budget):
+        energies = block_energies(L, n)
+        if connected is not None:
+            keep = connected[masks]
+            masks, energies = masks[keep], energies[keep]
+        if not len(masks):
             continue
-        np.abs(vec, out=buf)
-        e = int(buf.sum())
-        if best is None or e < best:
-            best, argmin = e, [mask]
-        elif e == best:
-            argmin.append(mask)
+        low = int(energies.min())
+        if best is None or low < best:
+            best, argmin = low, []
+        if low == best:
+            argmin.extend(masks[energies == low].tolist())
     sets = [mask_divisors(m, divs) for m in argmin]
     sets.sort(key=lambda ds: ",".join(str(d) for d in ds))
     value = holds = None
@@ -293,9 +297,7 @@ def bipartite_extremal_spectrum(n: int) -> Spectrum:
         raise ValueError(f"even n required, got {n}")
     spec = IcgSpec(n, tuple(d for d in proper_divisors(n) if d % 2))
     s = spectrum(spec)
-    expected = tuple(
-        n // 2 if j == 0 else -(n // 2) if j == n // 2 else 0 for j in range(n)
-    )
-    if s.values != expected:
+    expected = tuple(n // 2 if e == n else -(n // 2) if e == n // 2 else 0 for e in divisors(n))
+    if s.classes != expected:
         raise ArithmeticError(f"unexpected spectrum for {spec}: {s.values}")
     return s

@@ -7,20 +7,32 @@ are integers given by Ramanujan sums:
 
     lambda_k = sum_{d in D} c(k, n/d),   k = 0..n-1.
 
-The spectrum is kept in index order because positional identities matter
-(lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule); sorted
-views are derived on demand.
+Each c(k, n/d) depends on k only through gcd(k, n), so the spectrum is
+stored as tau(n) class eigenvalues lambda_e, one per divisor e of n, with
+multiplicity phi(n/e) (Klotz & Sander, Some properties of unitary Cayley
+graphs, EJC 14 (2007)).  Energy, spectral moments and the cospectral key
+are weighted sums or merges over the classes; the index-ordered view
+(lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
+expanded only when a caller asks for it.
+
+Every module of the package imports numpy inside the functions that use
+it, and the single-graph path (spectrum, energy, class lookups) uses none
+of them.  Importing numpy loads OpenBLAS, whose worker thread busy-waits
+after start-up: about 0.1 s of CPU on a 2-core x86 VM, over a hundred
+times what one energy_report costs at n ~ 10^6.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd
+from typing import TYPE_CHECKING
 
-import numpy as np
+from .arith import divisors, euler_phi, ramanujan
 
-from .arith import euler_phi, ramanujan
+if TYPE_CHECKING:
+    import numpy as np
 
 ADJACENCY_MAX_N = 20000
 
@@ -84,10 +96,31 @@ def parse_spec(text: str) -> IcgSpec:
 
 @dataclass(frozen=True)
 class Spectrum:
-    """Integer eigenvalues of an ICG in index order (lambda_0 .. lambda_{n-1})."""
+    """Integer eigenvalues of ICG_n(D), one per divisor class of Z_n.
+
+    classes[i] is lambda_e for e = divisors(n)[i]: the eigenvalue at every
+    index k with gcd(k, n) = e, so it occurs phi(n/e) times.  The index-ordered
+    spectrum (lambda_0 .. lambda_{n-1}) is a view expanded on first use.
+    """
 
     n: int
-    values: tuple[int, ...]
+    classes: tuple[int, ...]
+
+    @property
+    def multiplicities(self) -> tuple[int, ...]:
+        """phi(n/e) for each divisor e of n: how often each class value occurs."""
+        return class_weights(self.n)
+
+    def at(self, e: int) -> int:
+        """lambda_k for every k with gcd(k, n) = e; e must divide n."""
+        return self.classes[divisors(self.n).index(e)]
+
+    @cached_property
+    def values(self) -> tuple[int, ...]:
+        """Eigenvalues in index order, lambda_0 .. lambda_{n-1}."""
+        import numpy as np
+
+        return tuple(np.array(self.classes, dtype=np.int64)[class_index(self.n)].tolist())
 
     def __len__(self) -> int:
         return self.n
@@ -98,27 +131,79 @@ class Spectrum:
     def __getitem__(self, j: int) -> int:
         return self.values[j]
 
+    def energy(self) -> int:
+        """sum of |lambda_k| over k = 0..n-1, i.e. sum phi(n/e) |lambda_e|."""
+        return sum(m * abs(v) for v, m in zip(self.classes, self.multiplicities))
+
+    def moment(self, p: int) -> int:
+        """sum of lambda_k^p over k = 0..n-1, in exact integers."""
+        return sum(m * v**p for v, m in zip(self.classes, self.multiplicities))
+
+    def cospectral_key(self) -> tuple[tuple[int, int], ...]:
+        """Distinct eigenvalues, ascending, each with its total multiplicity."""
+        import numpy as np
+
+        key = cospectral_keys(np.array([self.classes], dtype=np.int64), self.n)[0]
+        return tuple((v, m) for v, m in key.tolist() if m)
+
     def sorted_values(self) -> tuple[int, ...]:
         """Eigenvalues as a sorted tuple; the multiset key for cospectrality."""
-        return tuple(sorted(self.values))
+        return tuple(v for v, m in self.cospectral_key() for _ in range(m))
 
 
-@lru_cache(maxsize=None)
-def _divisor_eigenrow(n: int, d: int) -> np.ndarray:
-    """c(k, n/d) for k = 0..n-1 as an int64 row (periodic with period n/d)."""
+def class_weights(n: int) -> tuple[int, ...]:
+    """phi(n/e) for each divisor e of n, in the order of divisors(n)."""
+    return tuple(euler_phi(n // e) for e in divisors(n))
+
+
+def class_index(n: int) -> np.ndarray:
+    """For k = 0..n-1, the position of gcd(k, n) in divisors(n)."""
+    import numpy as np
+
+    return np.searchsorted(np.array(divisors(n)), np.gcd(np.arange(n), n))
+
+
+@lru_cache(maxsize=1024)  # a row is tau(n) ints, so the cache stays small at any n
+def divisor_class_row(n: int, d: int) -> tuple[int, ...]:
+    """c(e, n/d) for each divisor e of n: the class eigenvalues of ICG_n({d})."""
     m = n // d
-    period = np.array([ramanujan(k, m) for k in range(m)], dtype=np.int64)
-    row = np.tile(period, d)
-    row.setflags(write=False)
-    return row
+    return tuple(ramanujan(e, m) for e in divisors(n))
+
+
+def block_energies(L: np.ndarray, n: int) -> np.ndarray:
+    """Energies of the graphs whose class eigenvalues are the rows of L."""
+    import numpy as np
+
+    return np.abs(L) @ np.array(class_weights(n), dtype=np.int64)
+
+
+def cospectral_keys(L: np.ndarray, n: int) -> np.ndarray:
+    """Spectrum multiset of each row of class eigenvalues L, as (value, count) pairs.
+
+    Row i of the result holds the distinct eigenvalues of row i ascending,
+    each with its total multiplicity, padded with (0, 0) pairs to tau(n)
+    pairs; two rows are cospectral exactly when their keys are equal.
+    """
+    import numpy as np
+
+    order = np.argsort(L, axis=1, kind="stable")
+    vals = np.take_along_axis(L, order, axis=1)
+    upto = np.cumsum(np.array(class_weights(n), dtype=np.int64)[order], axis=1)
+    last = np.ones(vals.shape, dtype=bool)  # last entry of each run of equal values
+    last[:, :-1] = vals[:, 1:] != vals[:, :-1]
+    first = np.argsort(~last, axis=1, kind="stable")  # run ends first, in order
+    vals = np.take_along_axis(vals, first, axis=1)
+    counts = np.diff(np.take_along_axis(upto, first, axis=1), axis=1, prepend=0)
+    pad = ~np.take_along_axis(last, first, axis=1)
+    vals[pad] = 0
+    counts[pad] = 0
+    return np.stack([vals, counts], axis=2)
 
 
 def spectrum(spec: IcgSpec) -> Spectrum:
-    """Exact integer spectrum via the Ramanujan-sum formula."""
-    acc = np.zeros(spec.n, dtype=np.int64)
-    for d in spec.divisors:
-        acc += _divisor_eigenrow(spec.n, d)
-    return Spectrum(spec.n, tuple(int(v) for v in acc))
+    """Exact integer spectrum via the Ramanujan-sum formula, per divisor class."""
+    rows = [divisor_class_row(spec.n, d) for d in spec.divisors]
+    return Spectrum(spec.n, tuple(sum(col) for col in zip(*rows)))
 
 
 def symbol_set(spec: IcgSpec) -> set[int]:
@@ -134,6 +219,8 @@ def degree(spec: IcgSpec) -> int:
 
 def adjacency(spec: IcgSpec) -> np.ndarray:
     """Dense symmetric 0/1 adjacency matrix; guarded to n <= 20000."""
+    import numpy as np
+
     n = spec.n
     if n > ADJACENCY_MAX_N:
         raise ValueError(f"adjacency matrix limited to n <= {ADJACENCY_MAX_N}, got {n}")

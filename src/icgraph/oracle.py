@@ -17,17 +17,21 @@ import random
 from dataclasses import dataclass
 from functools import lru_cache
 from math import sqrt
-
-import numpy as np
+from typing import TYPE_CHECKING
 
 from .graphs import IcgSpec, Spectrum, adjacency, spectrum, symbol_set
 from .sweep import iter_subset_spectra, mask_divisors, proper_divisors, subset_count
+
+if TYPE_CHECKING:
+    import numpy as np
 
 TRIG_MAX_N = 100_000
 
 
 @lru_cache(maxsize=64)
 def _costab(n: int) -> np.ndarray:
+    import numpy as np
+
     tab = np.cos(2.0 * np.pi * np.arange(n) / n)
     tab.setflags(write=False)
     return tab
@@ -39,6 +43,8 @@ def spectrum_trig(spec: IcgSpec) -> np.ndarray:
     Returns an index-ordered float array.  Summation order is fixed
     (ascending s), so results are deterministic run to run.
     """
+    import numpy as np
+
     n = spec.n
     if n > TRIG_MAX_N:
         raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
@@ -61,6 +67,8 @@ class SpectrumComparison:
 
 def compare_spectra(exact, approx, tol: float = 1e-6) -> SpectrumComparison:
     """Componentwise comparison of an integer spectrum against a float one."""
+    import numpy as np
+
     values = exact.values if isinstance(exact, Spectrum) else tuple(exact)
     if len(values) != len(approx):
         raise ValueError(f"length mismatch: {len(values)} vs {len(approx)}")
@@ -130,10 +138,10 @@ def moments(spec: IcgSpec) -> MomentReport:
     are solved for and checked to be consistent integers; a failure here
     would mean the spectrum itself is wrong, so it raises.
     """
-    vals = spectrum(spec).values
-    r = vals[0]
-    M2 = sum(v * v for v in vals)
-    M4 = sum(v ** 4 for v in vals)
+    s = spectrum(spec)
+    r = s.at(spec.n)
+    M2 = s.moment(2)
+    M4 = s.moment(4)
     if M2 != spec.n * r:
         raise ArithmeticError(f"moment identity broken: M2={M2} != n*r={spec.n * r}")
     m = M2 // 2
@@ -149,6 +157,8 @@ def count_four_cycles(spec: IcgSpec) -> int:
     Every quadrilateral is determined by its two diagonal pairs, so
     q = (1/2) * sum over vertex pairs of C(codegree, 2).
     """
+    import numpy as np
+
     A = adjacency(spec).astype(np.int64)
     codeg = A @ A
     np.fill_diagonal(codeg, 0)

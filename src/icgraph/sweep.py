@@ -1,12 +1,12 @@
-"""Exhaustive enumeration of divisor subsets with incremental spectra.
+"""Exhaustive enumeration of divisor subsets, a block of subsets at a time.
 
 Desk-scale checks (mod-4 sweeps, cospectrality searches, minimum-energy
-scans) all walk every nonempty subset of the proper divisors of n.  Doing
-that naively costs |D| spectrum builds per subset; here we exploit the fact
-that spectra are additive over divisors.  Walking masks in increasing order,
-mask m differs from m-1 by a suffix of toggled bits (binary counter), so the
-running spectrum vector is maintained with about two row updates per subset
-on average.
+scans) all walk every nonempty subset of the proper divisors of n.  Spectra
+are additive over divisors, and each divisor's contribution is one row of
+the tau'(n) x tau(n) table R[i, j] = c(e_j, n/d_i) (proper divisors d_i,
+divisors e_j).  So a block of subset masks, written as a 0/1 matrix of
+bits, gets the class eigenvalues of all its graphs as one product bits @ R.
+Blocks have a fixed number of masks, so memory stays bounded by n.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
 refers to the i-th smallest proper divisor.
@@ -16,12 +16,11 @@ from __future__ import annotations
 
 from math import gcd
 
-import numpy as np
-
 from .arith import divisors
-from .graphs import _divisor_eigenrow
+from .graphs import class_index, divisor_class_row
 
 DEFAULT_BUDGET = 1 << 20
+BLOCK = 1024  # masks per block
 
 
 class BudgetExceeded(RuntimeError):
@@ -53,6 +52,23 @@ def mask_divisors(mask: int, divs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for i, d in enumerate(divs) if mask >> i & 1)
 
 
+def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
+    """Yield (masks, L) for every nonempty divisor subset of n, BLOCK masks at a time.
+
+    masks is an ascending int64 array; row i of the int64 array L holds the
+    class eigenvalues (Spectrum.classes) of ICG_n(D) for
+    D = mask_divisors(masks[i], proper_divisors(n)).
+    """
+    import numpy as np
+
+    total = check_budget(n, budget)
+    table = np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
+    shifts = np.arange(len(table))
+    for lo in range(1, total + 1, BLOCK):
+        masks = np.arange(lo, min(lo + BLOCK, total + 1))
+        yield masks, (masks[:, None] >> shifts & 1) @ table
+
+
 def iter_subset_spectra(n: int, budget: int = DEFAULT_BUDGET):
     """Yield (mask, spectrum_vector) for every nonempty divisor subset of n.
 
@@ -60,24 +76,13 @@ def iter_subset_spectra(n: int, budget: int = DEFAULT_BUDGET):
     spectrum of ICG_n(D) for D = mask_divisors(mask, proper_divisors(n)).
     It is reused between yields; callers must copy it to keep it.
     """
-    check_budget(n, budget)
-    divs = proper_divisors(n)
-    rows = [_divisor_eigenrow(n, d) for d in divs]
-    acc = np.zeros(n, dtype=np.int64)
-    prev = 0
-    for mask in range(1, (1 << len(divs))):
-        flipped = prev ^ mask
-        i = 0
-        while flipped:
-            if flipped & 1:
-                if mask >> i & 1:
-                    acc += rows[i]
-                else:
-                    acc -= rows[i]
-            flipped >>= 1
-            i += 1
-        prev = mask
-        yield mask, acc
+    import numpy as np
+
+    index = class_index(n)
+    vec = np.empty(n, dtype=np.int64)
+    for masks, L in iter_class_blocks(n, budget):
+        for mask, row in zip(masks.tolist(), L):
+            yield mask, np.take(row, index, out=vec)
 
 
 def subset_gcd_table(divs: tuple[int, ...]) -> list[int]:

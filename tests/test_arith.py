@@ -36,6 +36,14 @@ def test_is_prime_small():
     assert {n for n in range(50) if is_prime(n)} == primes
 
 
+def test_is_prime_edges():
+    assert not is_prime(0) and not is_prime(1) and not is_prime(4)
+    assert is_prime(2)
+    assert is_prime(999_983)  # largest prime below 10^6
+    assert not is_prime(999_983**2)
+    assert not is_prime(-7)
+
+
 def test_euler_phi_values():
     assert euler_phi(1) == 1
     assert euler_phi(36) == 12

@@ -168,6 +168,24 @@ def test_usage_errors_exit_1():
         assert exc.value.code == 1, argv
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify-oracle", "2..3", "--tol", "nan"],
+        ["verify-oracle", "2..3", "--tol", "-1"],
+        ["verify-oracle", "2..3", "--tol", "inf"],
+        ["verify-oracle", "2..3", "--tol", "tiny"],
+        ["mod4-sweep", "6", "--budget", "0"],
+        ["mod4-sweep", "6", "--budget", "-1"],
+        ["so-check", "6", "--budget", "1.5"],
+    ],
+)
+def test_bad_tol_and_budget_are_usage_errors(argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1
+
+
 def test_budget_exit_3():
     assert main(["so-check", "5040"]) == 3
 

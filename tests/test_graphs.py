@@ -1,5 +1,10 @@
 """Graph construction, validation, and the exact Ramanujan-sum spectrum."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -149,3 +154,25 @@ def test_component_spectrum_multiset():
         big = sorted(spectrum(spec).values)
         small = sorted(spectrum(quotient).values * d)
         assert big == small
+
+
+def test_single_graph_path_does_not_load_numpy():
+    # numpy's BLAS start-up busy-waits on a worker thread; a single-graph
+    # query needs no arrays, so it must not pay for that.
+    code = (
+        "import sys\n"
+        "from icgraph import IcgSpec, closed_forms, energy_report, spectrum\n"
+        "import icgraph.cli\n"
+        "icgraph.cli.build_parser()\n"
+        "spec = IcgSpec(2 * 3 * 5 * 7 * 11 * 13, (1, 7))\n"
+        "assert energy_report(spec).energy == spectrum(spec).energy() > 0\n"
+        "assert spectrum(spec).moment(1) == 0\n"
+        "closed_forms.energy_two_primes(30030, 7, 11)\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr

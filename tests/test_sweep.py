@@ -1,4 +1,4 @@
-"""The incremental divisor-subset enumeration engine."""
+"""The blocked divisor-subset enumeration engine."""
 
 import math
 
@@ -46,7 +46,7 @@ def test_mask_decoding_order():
 
 
 def test_incremental_spectra_match_direct():
-    """The binary-counter updates must reproduce every spectrum exactly."""
+    """The blocked class products must reproduce every spectrum exactly."""
     for n in (12, 18, 30, 36):
         divs = proper_divisors(n)
         for mask, vec in iter_subset_spectra(n):
