@@ -253,6 +253,8 @@ def cmd_verify_oracle(parser, args) -> int:
                 "max_deviation": report.max_deviation,
                 "ok": report.ok,
                 "failures": list(report.failures),
+                "worst_spec": report.worst_spec,
+                "worst_index": report.worst_index,
             }
         )
         failed = failed or not report.ok

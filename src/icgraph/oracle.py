@@ -2,60 +2,81 @@
 
 Two consistency routes that do not share code with the Ramanujan-sum path:
 
-* a trigonometric oracle that evaluates circulant eigenvalues directly as
-  cosine sums over the connection set, and
-* spectral-moment identities (edge and 4-cycle counts) that tie the
-  spectrum back to countable graph structure.
+* a trigonometric oracle: a circulant is diagonalised by the DFT, so the
+  eigenvalues of ICG_n(D) are the FFT of the 0/1 indicator of its
+  connection set {k : gcd(k, n) in D} (R. M. Gray, Toeplitz and Circulant
+  Matrices: A Review, 2006); and
+* spectral-moment identities that tie the spectrum back to countable graph
+  structure: edges, and 4-cycles counted from the exact integer cyclic
+  autocorrelation of the same indicator.
 
-The trig oracle is floating point, so comparisons carry an explicit
-tolerance; everything else is exact integer arithmetic.
+Neither route calls a Ramanujan sum, graphs.spectrum or the divisor-class
+tables.  verify_against_trig checks the class-eigenvalue blocks that the
+sweeps themselves compute (sweep.class_block), a bounded block of divisor
+sets at a time.  The trig oracle is floating point, so comparisons carry an
+explicit tolerance; everything else is exact integer arithmetic.
 """
 
 from __future__ import annotations
 
 import random
+import sys
 from dataclasses import dataclass
-from functools import lru_cache
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .graphs import IcgSpec, Spectrum, adjacency, spectrum, symbol_set
-from .sweep import iter_subset_spectra, mask_divisors, proper_divisors, subset_count
+from .graphs import IcgSpec, Spectrum, class_index, spectrum
+from .sweep import (
+    BLOCK,
+    class_block,
+    class_table,
+    iter_class_blocks,
+    mask_bits,
+    mask_divisors,
+    proper_divisors,
+    subset_count,
+)
 
 if TYPE_CHECKING:
     import numpy as np
 
 TRIG_MAX_N = 100_000
+FFT_CELLS = 1 << 14  # rows x n of one FFT block in verify_against_trig
 
 
-@lru_cache(maxsize=64)
-def _costab(n: int) -> np.ndarray:
+def _spec_mask(spec: IcgSpec) -> int:
+    divs = proper_divisors(spec.n)
+    return sum(1 << divs.index(d) for d in spec.divisors)
+
+
+def _indicators(n: int, masks) -> np.ndarray:
+    """0/1 rows: entry k of row i is 1 when gcd(k, n) is a divisor named by masks[i]."""
     import numpy as np
 
-    tab = np.cos(2.0 * np.pi * np.arange(n) / n)
-    tab.setflags(write=False)
-    return tab
+    divs = proper_divisors(n)
+    slot = np.zeros(n + 1, dtype=np.intp)  # slot 0: gcd(0, n) = n, never in D
+    slot[list(divs)] = np.arange(1, len(divs) + 1)
+    bits = np.zeros((len(masks), len(divs) + 1), dtype=np.uint8)
+    bits[:, 1:] = mask_bits(masks, len(divs))
+    return bits[:, slot[np.gcd(np.arange(n), n)]]
+
+
+def _trig_block(n: int, masks) -> np.ndarray:
+    """Index-ordered eigenvalues of ICG_n(D) for each mask, as float rows (the DFT)."""
+    import numpy as np
+
+    if n > TRIG_MAX_N:
+        raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
+    return np.fft.fft(_indicators(n, masks), axis=1).real
 
 
 def spectrum_trig(spec: IcgSpec) -> np.ndarray:
-    """Eigenvalues lambda_j = sum over the connection set of cos(2*pi*j*s/n).
+    """Eigenvalues lambda_j = sum over the connection set S of cos(2*pi*j*s/n).
 
-    Returns an index-ordered float array.  Summation order is fixed
-    (ascending s), so results are deterministic run to run.
+    Computed as the FFT of the indicator of S; returns an index-ordered
+    float array, the same run to run.
     """
-    import numpy as np
-
-    n = spec.n
-    if n > TRIG_MAX_N:
-        raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
-    costab = _costab(n)
-    syms = np.array(sorted(symbol_set(spec)), dtype=np.int64)
-    out = np.empty(n, dtype=np.float64)
-    chunk = max(1, 2_000_000 // max(1, len(syms)))
-    for start in range(0, n, chunk):
-        js = np.arange(start, min(start + chunk, n), dtype=np.int64)
-        out[start : start + len(js)] = costab[(js[:, None] * syms) % n].sum(axis=1)
-    return out
+    return _trig_block(spec.n, [_spec_mask(spec)])[0]
 
 
 @dataclass(frozen=True)
@@ -85,40 +106,62 @@ class OracleReport:
     max_deviation: float
     ok: bool
     failures: tuple[str, ...]
+    worst_spec: str | None  # the graph and eigenvalue index where max_deviation occurs
+    worst_index: int
+
+
+def _sample_masks(n: int, total: int, budget: int) -> list[int]:
+    """budget distinct masks in 1..total, ascending, drawn by random.Random(n)."""
+    rng = random.Random(n)
+    if total <= sys.maxsize:
+        return sorted(rng.sample(range(1, total + 1), budget))
+    # len(range) overflows here; draw as random.sample does for large populations
+    picked: set[int] = set()
+    while len(picked) < budget:
+        picked.add(rng.randrange(1, total + 1))
+    return sorted(picked)
 
 
 def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> OracleReport:
     """Compare exact and trig spectra across divisor subsets of n.
 
     Exhaustive when n has at most `budget` nonempty subsets; otherwise a
-    deterministic sample of `budget` subsets (seeded by n) is used.
+    deterministic sample of `budget` subsets (seeded by n) is used.  The
+    exact side is the sweep's class-eigenvalue block, expanded to index
+    order; the trig side is one FFT per block of at most FFT_CELLS cells.
     """
+    import numpy as np
+
     divs = proper_divisors(n)
     total = subset_count(n)
-    worst = 0.0
-    failures: list[str] = []
-
-    def check(mask: int, vec) -> None:
-        nonlocal worst
-        spec = IcgSpec(n, mask_divisors(mask, divs))
-        cmp = compare_spectra(tuple(int(v) for v in vec), spectrum_trig(spec), tol)
-        if cmp.max_deviation > worst:
-            worst = cmp.max_deviation
-        if not cmp.ok:
-            failures.append(spec.canonical())
-
     if total <= budget:
-        for mask, vec in iter_subset_spectra(n):
-            check(mask, vec)
-        checked, exhaustive = total, True
+        blocks, checked, exhaustive = iter_class_blocks(n, budget), total, True
     else:
-        rng = random.Random(n)
-        masks = rng.sample(range(1, total + 1), budget)
-        for mask in sorted(masks):
-            check(mask, spectrum(IcgSpec(n, mask_divisors(mask, divs))).values)
+        sample, table = _sample_masks(n, total, budget), class_table(n)
+        blocks = ((sample[i : i + BLOCK], class_block(sample[i : i + BLOCK], table))
+                  for i in range(0, budget, BLOCK))
         checked, exhaustive = budget, False
 
-    return OracleReport(n, checked, exhaustive, worst, not failures, tuple(failures))
+    def name(mask) -> str:
+        return IcgSpec(n, mask_divisors(int(mask), divs)).canonical()
+
+    index = class_index(n)
+    rows = max(1, FFT_CELLS // n)
+    worst, worst_spec, worst_index = 0.0, None, 0
+    failures: list[str] = []
+    for masks, L in blocks:
+        for lo in range(0, len(masks), rows):
+            part = masks[lo : lo + rows]
+            dev = np.abs(L[lo : lo + rows][:, index] - _trig_block(n, part))
+            cols = dev.argmax(axis=1)
+            row_dev = dev[np.arange(len(cols)), cols]
+            r = int(row_dev.argmax())
+            if row_dev[r] > worst or worst_spec is None:
+                worst, worst_spec, worst_index = float(row_dev[r]), name(part[r]), int(cols[r])
+            failures += [name(part[r]) for r in np.flatnonzero(~(row_dev <= tol))]
+
+    return OracleReport(n, checked, exhaustive, worst, not failures, tuple(failures),
+                        worst_spec, worst_index)
 
 
 @dataclass(frozen=True)
@@ -152,19 +195,18 @@ def moments(spec: IcgSpec) -> MomentReport:
 
 
 def count_four_cycles(spec: IcgSpec) -> int:
-    """4-cycle count straight from the adjacency matrix.
+    """4-cycle count from the connection set S, in exact integers.
 
     Every quadrilateral is determined by its two diagonal pairs, so
-    q = (1/2) * sum over vertex pairs of C(codegree, 2).
+    q = (1/2) * sum over vertex pairs of C(codegree, 2).  Vertices a and
+    a + j have c_j = |S & (S + j)| common neighbours, the cyclic
+    autocorrelation of the indicator of S, so q = n * sum_{j != 0} C(c_j, 2) / 4.
     """
     import numpy as np
 
-    A = adjacency(spec).astype(np.int64)
-    codeg = A @ A
-    np.fill_diagonal(codeg, 0)
-    pairs = codeg * (codeg - 1) // 2
-    # pairs.sum() counts ordered diagonal pairs, and each 4-cycle has two of them
-    return int(pairs.sum()) // 4
+    x = _indicators(spec.n, [_spec_mask(spec)])[0].astype(np.int64)
+    c = np.correlate(np.concatenate((x, x)), x, "valid")[1 : spec.n]
+    return spec.n * int((c * (c - 1) // 2).sum()) // 4
 
 
 def energy_lower_bounds(spec: IcgSpec) -> tuple[float, int]:

@@ -15,9 +15,13 @@ refers to the i-th smallest proper divisor.
 from __future__ import annotations
 
 from math import gcd
+from typing import TYPE_CHECKING
 
 from .arith import divisors
 from .graphs import class_index, divisor_class_row
+
+if TYPE_CHECKING:
+    import numpy as np
 
 DEFAULT_BUDGET = 1 << 20
 BLOCK = 1024  # masks per block
@@ -52,6 +56,37 @@ def mask_divisors(mask: int, divs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for i, d in enumerate(divs) if mask >> i & 1)
 
 
+def mask_bits(masks, width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i].
+
+    masks is an int64 array, or a sequence of Python ints of any size (a
+    sampled mask of n with tau'(n) >= 64 proper divisors needs 64+ bits).
+    """
+    import numpy as np
+
+    nbytes = (width + 7) // 8
+    if isinstance(masks, np.ndarray):
+        raw = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
+    else:
+        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
+
+
+def class_table(n: int) -> np.ndarray:
+    """The int64 table R[i, j] = c(e_j, n/d_i): row i is divisor_class_row(n, d_i)."""
+    import numpy as np
+
+    return np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
+
+
+def class_block(masks, table: np.ndarray) -> np.ndarray:
+    """Class eigenvalues of the graphs named by masks: bits @ R, one row per mask.
+
+    table is class_table(n); masks is anything mask_bits accepts.
+    """
+    return mask_bits(masks, len(table)) @ table
+
+
 def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     """Yield (masks, L) for every nonempty divisor subset of n, BLOCK masks at a time.
 
@@ -62,11 +97,10 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     import numpy as np
 
     total = check_budget(n, budget)
-    table = np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
-    shifts = np.arange(len(table))
+    table = class_table(n)
     for lo in range(1, total + 1, BLOCK):
         masks = np.arange(lo, min(lo + BLOCK, total + 1))
-        yield masks, (masks[:, None] >> shifts & 1) @ table
+        yield masks, class_block(masks, table)
 
 
 def iter_subset_spectra(n: int, budget: int = DEFAULT_BUDGET):

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from icgraph.cli import main
+from icgraph.graphs import parse_spec
 
 
 def run(capsys, *argv):
@@ -144,6 +145,17 @@ def test_verify_oracle_verb(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["ok"] is True and doc["sets"] == 31 and doc["exhaustive"] is True
+    assert list(doc)[-2:] == ["worst_spec", "worst_index"]
+    assert parse_spec(doc["worst_spec"]).n == 12
+    assert 0 <= doc["worst_index"] < 12
+
+
+def test_verify_oracle_samples_masks_of_64_or_more_bits(capsys):
+    # 10080 has 71 proper divisors, so a mask needs 71 bits
+    code, out, _ = run(capsys, "verify-oracle", "10080", "--budget", "8")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["sets"] == 8 and doc["exhaustive"] is False and doc["ok"] is True
 
 
 def test_verify_oracle_deterministic(capsys):

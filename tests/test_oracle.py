@@ -1,10 +1,17 @@
 """Floating-point oracle, moment identities, and lower bounds."""
 
+import random
+import sys
+from math import gcd
+
 import numpy as np
 import pytest
 
-from icgraph.graphs import IcgSpec, spectrum
+from icgraph import arith, graphs, sweep
+from icgraph.arith import divisors
+from icgraph.graphs import IcgSpec, adjacency, spectrum
 from icgraph.oracle import (
+    _sample_masks,
     compare_spectra,
     count_four_cycles,
     energy_lower_bounds,
@@ -12,6 +19,7 @@ from icgraph.oracle import (
     spectrum_trig,
     verify_against_trig,
 )
+from icgraph.sweep import BLOCK, mask_divisors, proper_divisors, subset_count
 
 
 def test_spectrum_trig_anchors():
@@ -20,6 +28,21 @@ def test_spectrum_trig_anchors():
     approx = spectrum_trig(IcgSpec(6, (1, 3)))
     assert np.allclose(approx, [3, 0, 0, -3, 0, 0], atol=1e-9)
     assert np.allclose(spectrum_trig(IcgSpec(2, (1,))), [1, -1], atol=1e-9)
+
+
+def test_oracle_is_independent_of_the_exact_path(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the oracle used the exact path")
+
+    exact = (arith.ramanujan, graphs.spectrum, graphs.divisor_class_row, graphs.class_index)
+    for mod in [m for name, m in sys.modules.items() if name.startswith("icgraph")]:
+        for attr, value in list(vars(mod).items()):
+            if any(value is f for f in exact):
+                monkeypatch.setattr(mod, attr, refuse)
+    test_spectrum_trig_anchors()
+    assert count_four_cycles(IcgSpec(4, (1,))) == 1
+    assert count_four_cycles(IcgSpec(6, (1, 3))) == 9
+    assert count_four_cycles(IcgSpec(30, (2, 3))) > 0
 
 
 def test_spectrum_trig_guard():
@@ -70,6 +93,22 @@ def test_four_cycle_count_matches_moment_identity():
         assert count_four_cycles(spec) == moments(spec).q, spec
 
 
+def _dense_four_cycles(spec):
+    """Reference count: q = (1/2) sum over vertex pairs of C(codegree, 2), via A @ A."""
+    A = adjacency(spec).astype(np.int64)
+    codeg = A @ A
+    np.fill_diagonal(codeg, 0)
+    return int((codeg * (codeg - 1) // 2).sum()) // 4
+
+
+def test_four_cycle_count_equals_dense_reference():
+    for n in range(2, 31):
+        divs = proper_divisors(n)
+        for mask in range(1, 1 << len(divs)):
+            spec = IcgSpec(n, mask_divisors(mask, divs))
+            assert count_four_cycles(spec) == _dense_four_cycles(spec), spec
+
+
 def test_energy_lower_bounds():
     bound_moment, bound_regular = energy_lower_bounds(IcgSpec(6, (1, 3)))
     assert bound_regular == 6  # equality case: K_{3,3} has energy exactly 6
@@ -96,3 +135,45 @@ def test_verify_against_trig_sampled_deterministic():
     assert not a.exhaustive and a.sets == 40
     assert a == b
     assert a.ok
+
+
+def test_sampled_masks_are_pinned():
+    # the sample random.Random(n).sample(range(1, total + 1), budget) has always drawn
+    for n, budget in ((360, 40), (360, 64), (144, 2048)):
+        total = subset_count(n)
+        want = sorted(random.Random(n).sample(range(1, total + 1), budget))
+        assert _sample_masks(n, total, budget) == want
+    assert _sample_masks(360, subset_count(360), 40)[:4] == [550476, 659726, 714921, 997947]
+
+
+def test_sampled_masks_beyond_64_bits():
+    total = subset_count(10080)  # 2^71 - 1, too long for range() in random.sample
+    masks = _sample_masks(10080, total, 300)
+    assert masks == _sample_masks(10080, total, 300)
+    assert masks == sorted(set(masks)) and len(masks) == 300
+    assert 1 <= masks[0] and masks[-1] <= total and masks[-1] >= 1 << 64
+
+
+@pytest.mark.parametrize("n, budget", [(42, 2048), (210, 3 * BLOCK)])
+def test_verify_against_trig_reports_every_faulty_graph(monkeypatch, n, budget):
+    """One class eigenvalue off by 1 in ICG_n({1}): every checked set holding 1 fails."""
+    clean = sweep.divisor_class_row
+    e = divisors(n)[2]
+
+    def faulty(m, d):
+        row = clean(m, d)
+        return tuple(v + (d == 1 and j == 2) for j, v in enumerate(row))
+
+    monkeypatch.setattr(sweep, "divisor_class_row", faulty)
+    r = verify_against_trig(n, budget=budget)
+    total = subset_count(n)
+    if total <= budget:
+        checked = range(1, total + 1)
+    else:
+        checked = sorted(random.Random(n).sample(range(1, total + 1), budget))
+    divs = proper_divisors(n)
+    want = tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in checked if m & 1)
+    assert r.sets == len(checked) and not r.ok
+    assert r.failures == want
+    assert abs(r.max_deviation - 1) < 1e-9
+    assert r.worst_spec in want and gcd(r.worst_index, n) == e
