@@ -17,13 +17,18 @@ from __future__ import annotations
 from functools import lru_cache
 from math import gcd
 
+# Entries per cache.  One n calls each cached function on at most its tau(n)
+# divisors, and tau(n) <= 6720 for n <= 10^12, so one n's working set always
+# fits while a long sweep over many n stays bounded.
+CACHE_SIZE = 1 << 13
+
 
 def _check_positive(n: int) -> None:
     if n < 1:
         raise ValueError(f"expected a positive integer, got {n}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def factorize(n: int) -> tuple[tuple[int, int], ...]:
     """Prime factorization of n as ((p1, a1), (p2, a2), ...) with p1 < p2 < ...
 
@@ -58,7 +63,7 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def euler_phi(n: int) -> int:
     """Euler's totient: the number of 1 <= a <= n coprime to n."""
     _check_positive(n)
@@ -68,7 +73,7 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def mobius(n: int) -> int:
     """Möbius function: 0 if n has a squared prime factor, else (-1)^(#primes)."""
     _check_positive(n)
@@ -78,7 +83,7 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order."""
     _check_positive(n)

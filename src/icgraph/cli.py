@@ -4,6 +4,10 @@ Every verb wraps exactly one library operation and serializes its result;
 no math happens here.  Output is JSON lines by default (one object per
 result, compact separators) or CSV with --format csv.
 
+The range verbs (mod4-sweep, so-check, min-energy, verify-oracle) check the
+whole range before writing a row, then write each row as it is produced:
+`| head` ends a sweep early, and memory follows the current n, not the range.
+
 Exit codes: 0 success, 1 usage error, 2 a verification verb found a
 counterexample, 3 enumeration budget exceeded.
 """
@@ -12,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import math
 import sys
@@ -19,7 +24,7 @@ import sys
 from . import closed_forms, families, oracle
 from .energy import energy as graph_energy, energy_report, mod4_rows
 from .graphs import IcgSpec, parse_spec, spectrum
-from .sweep import DEFAULT_BUDGET, BudgetExceeded
+from .sweep import DEFAULT_BUDGET, BudgetExceeded, check_budget
 
 
 class _Parser(argparse.ArgumentParser):
@@ -125,7 +130,7 @@ def cmd_spectrum(parser, args) -> int:
     s = spectrum(args.spec)
     _emit(
         [{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}],
-        args.format or "json",
+        args.format,
     )
     return 0
 
@@ -134,37 +139,58 @@ def cmd_energy(parser, args) -> int:
     e = graph_energy(args.spec)
     _emit(
         [{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}],
-        args.format or "json",
+        args.format,
     )
     return 0
 
 
 def cmd_report(parser, args) -> int:
-    _emit([energy_report(args.spec).to_json_dict()], args.format or "json")
+    _emit([energy_report(args.spec).to_json_dict()], args.format)
+    return 0
+
+
+def _run_range(parser, args, check, rows, failed, message) -> int:
+    """Check every n of the range, then emit the rows of each n as they are made.
+
+    check(n) raises for an n the verb cannot take, before any row is
+    written; rows(n) yields the rows of n; failed(row) marks a counterexample,
+    and message(failed_rows) is the stderr line that goes with exit code 2.
+    """
+    lo, hi = _resolve_range(parser, args)
+    for n in range(lo, hi + 1):
+        check(n)
+    bad = []
+
+    def stream():
+        for n in range(lo, hi + 1):
+            for row in rows(n):
+                if failed(row):
+                    bad.append(row)
+                yield row
+
+    _emit(stream(), args.format)
+    if bad:
+        print(message(bad), file=sys.stderr)
+        return 2
     return 0
 
 
 def cmd_mod4_sweep(parser, args) -> int:
-    lo, hi = _resolve_range(parser, args)
-    bad = []
-    rows = []
-    for n in range(lo, hi + 1):
+    def rows(n):
         for ds, e, residue, predicted in mod4_rows(n, args.budget):
-            row = {
+            yield {
                 "spec": IcgSpec(n, ds).canonical(),
                 "energy": e,
                 "residue4": residue,
                 "predicted4": predicted,
                 "match": residue == predicted,
             }
-            rows.append(row)
-            if residue != predicted:
-                bad.append(row["spec"])
-    _emit(rows, args.format or "json")
-    if bad:
-        print(f"counterexamples: {' '.join(bad)}", file=sys.stderr)
-        return 2
-    return 0
+
+    return _run_range(
+        parser, args, lambda n: check_budget(n, args.budget), rows,
+        lambda row: not row["match"],
+        lambda bad: f"counterexamples: {' '.join(row['spec'] for row in bad)}",
+    )
 
 
 def cmd_closed_form(parser, args) -> int:
@@ -184,14 +210,14 @@ def cmd_closed_form(parser, args) -> int:
         out = {"n": args.n, "family": case.family.value, "p": p, "q": q}
     out["branch"] = case.case_tag
     out["energy"] = value
-    _emit([out], args.format or "json")
+    _emit([out], args.format)
     return 0
 
 
 def cmd_cross_validate(parser, args) -> int:
     rows = closed_forms.cross_validate(args.n_max)
     table = [dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows]
-    _emit(table, args.format or "csv")
+    _emit(table, args.format)
     mismatches = [r for r in rows if not r.match]
     if mismatches:
         print(f"counterexamples: {len(mismatches)} formula/direct mismatches", file=sys.stderr)
@@ -204,65 +230,37 @@ def cmd_family(parser, args) -> int:
         report = families.equienergetic_family(args.n)
     else:
         report = families.equienergetic_family_second(args.n)
-    _emit([report.to_json_dict()], args.format or "json")
+    _emit([report.to_json_dict()], args.format)
     return 0
 
 
 def cmd_so_check(parser, args) -> int:
-    lo, hi = _resolve_range(parser, args)
-    failed = False
-    rows = []
-    for n in range(lo, hi + 1):
-        report = families.so_conjecture_check(n, args.budget)
-        rows.append(report.to_json_dict())
-        failed = failed or not report.verified
-    _emit(rows, args.format or "json")
-    if failed:
-        print("counterexamples: cospectral divisor sets found", file=sys.stderr)
-        return 2
-    return 0
+    return _run_range(
+        parser, args, lambda n: check_budget(n, args.budget),
+        lambda n: [families.so_conjecture_check(n, args.budget).to_json_dict()],
+        lambda row: bool(row["collisions"]),
+        lambda bad: "counterexamples: cospectral divisor sets found",
+    )
 
 
 def cmd_min_energy(parser, args) -> int:
-    lo, hi = _resolve_range(parser, args)
-    failed = False
-    rows = []
-    for n in range(lo, hi + 1):
-        report = families.min_energy_search(n, args.connected_only, args.budget)
-        rows.append(report.to_json_dict())
-        if args.connected_only and report.conjecture_holds is False:
-            failed = True
-    _emit(rows, args.format or "json")
-    if failed:
-        print("counterexamples: predicted minimum not attained", file=sys.stderr)
-        return 2
-    return 0
+    search = families.min_energy_search
+    return _run_range(
+        parser, args, lambda n: check_budget(n, args.budget),
+        lambda n: [search(n, args.connected_only, args.budget).to_json_dict()],
+        lambda row: row.get("conjecture_holds") is False,  # set only when connected-only
+        lambda bad: "counterexamples: predicted minimum not attained",
+    )
 
 
 def cmd_verify_oracle(parser, args) -> int:
-    lo, hi = _resolve_range(parser, args)
-    failed = False
-    rows = []
-    for n in range(lo, hi + 1):
-        report = oracle.verify_against_trig(n, tol=args.tol, budget=args.budget)
-        rows.append(
-            {
-                "n": report.n,
-                "sets": report.sets,
-                "exhaustive": report.exhaustive,
-                "max_deviation": report.max_deviation,
-                "ok": report.ok,
-                "failures": list(report.failures),
-                "worst_spec": report.worst_spec,
-                "worst_index": report.worst_index,
-            }
-        )
-        failed = failed or not report.ok
-    _emit(rows, args.format or "json")
-    if failed:
-        print("counterexamples: exact and trig spectra disagree", file=sys.stderr)
-        return 2
-    return 0
+    verify = oracle.verify_against_trig
+    return _run_range(
+        parser, args, oracle.check_trig_n,
+        lambda n: [dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))],
+        lambda row: not row["ok"],
+        lambda bad: "counterexamples: exact and trig spectra disagree",
+    )
 
 
 def _add_range_target(sub, default_budget: int = DEFAULT_BUDGET):
@@ -274,14 +272,15 @@ def _add_range_target(sub, default_budget: int = DEFAULT_BUDGET):
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="icgraph", description=__doc__.splitlines()[0])
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--format", choices=("json", "csv"), default=None,
-                        help="output format (default: json; cross-validate: csv)")
     sub = parser.add_subparsers(dest="verb", required=True, metavar="verb",
                                 parser_class=_Parser)
 
-    def add_verb(name, help_text):
-        return sub.add_parser(name, help=help_text, parents=[common])
+    # one --format per verb: set_defaults on a shared parent's action changes every verb
+    def add_verb(name, help_text, fmt="json"):
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--format", choices=("json", "csv"), default=fmt,
+                       help="output format (default: json; cross-validate: csv)")
+        return p
 
     p = add_verb("spectrum", "exact integer spectrum of one graph")
     p.add_argument("spec", type=_spec_arg, help="graph as n:d1,d2,...")
@@ -306,7 +305,7 @@ def build_parser() -> _Parser:
     p.add_argument("--pair", type=_pair_arg, metavar="P,Q", help="divisor set {p, q}")
     p.set_defaults(func=cmd_closed_form)
 
-    p = add_verb("cross-validate", "closed forms vs direct energies, n <= n_max")
+    p = add_verb("cross-validate", "closed forms vs direct energies, n <= n_max", fmt="csv")
     p.add_argument("n_max", type=_n_arg)
     p.set_defaults(func=cmd_cross_validate)
 

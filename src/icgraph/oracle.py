@@ -30,7 +30,6 @@ from .sweep import (
     BLOCK,
     class_block,
     class_table,
-    iter_class_blocks,
     mask_bits,
     mask_divisors,
     proper_divisors,
@@ -61,12 +60,17 @@ def _indicators(n: int, masks) -> np.ndarray:
     return bits[:, slot[np.gcd(np.arange(n), n)]]
 
 
+def check_trig_n(n: int) -> None:
+    """Raise ValueError when n is too large for the trig oracle."""
+    if n > TRIG_MAX_N:
+        raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
+
+
 def _trig_block(n: int, masks) -> np.ndarray:
     """Index-ordered eigenvalues of ICG_n(D) for each mask, as float rows (the DFT)."""
     import numpy as np
 
-    if n > TRIG_MAX_N:
-        raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
+    check_trig_n(n)
     return np.fft.fft(_indicators(n, masks), axis=1).real
 
 
@@ -134,13 +138,9 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
 
     divs = proper_divisors(n)
     total = subset_count(n)
-    if total <= budget:
-        blocks, checked, exhaustive = iter_class_blocks(n, budget), total, True
-    else:
-        sample, table = _sample_masks(n, total, budget), class_table(n)
-        blocks = ((sample[i : i + BLOCK], class_block(sample[i : i + BLOCK], table))
-                  for i in range(0, budget, BLOCK))
-        checked, exhaustive = budget, False
+    exhaustive = total <= budget
+    masks = np.arange(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
+    table = class_table(n)
 
     def name(mask) -> str:
         return IcgSpec(n, mask_divisors(int(mask), divs)).canonical()
@@ -149,9 +149,11 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     rows = max(1, FFT_CELLS // n)
     worst, worst_spec, worst_index = 0.0, None, 0
     failures: list[str] = []
-    for masks, L in blocks:
-        for lo in range(0, len(masks), rows):
-            part = masks[lo : lo + rows]
+    for start in range(0, len(masks), BLOCK):
+        block = masks[start : start + BLOCK]
+        L = class_block(block, table)
+        for lo in range(0, len(block), rows):
+            part = block[lo : lo + rows]
             dev = np.abs(L[lo : lo + rows][:, index] - _trig_block(n, part))
             cols = dev.argmax(axis=1)
             row_dev = dev[np.arange(len(cols)), cols]
@@ -160,7 +162,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
                 worst, worst_spec, worst_index = float(row_dev[r]), name(part[r]), int(cols[r])
             failures += [name(part[r]) for r in np.flatnonzero(~(row_dev <= tol))]
 
-    return OracleReport(n, checked, exhaustive, worst, not failures, tuple(failures),
+    return OracleReport(n, len(masks), exhaustive, worst, not failures, tuple(failures),
                         worst_spec, worst_index)
 
 

@@ -14,6 +14,8 @@ from icgraph.arith import (
     prime_factors,
     ramanujan,
 )
+from icgraph.energy import energy_report
+from icgraph.graphs import IcgSpec, divisor_class_row
 
 
 def test_factorize():
@@ -132,3 +134,14 @@ def test_ramanujan_multiplicative():
             continue
         k = rng.randrange(0, 200)
         assert ramanujan(k, m * n) == ramanujan(k, m) * ramanujan(k, n)
+
+
+def test_caches_are_bounded_and_hold_one_n():
+    caches = (factorize, euler_phi, mobius, divisors)
+    assert all(f.cache_info().maxsize is not None for f in caches)
+    spec = IcgSpec(720720, (1, 2, 3, 360360))  # tau(720720) = 240
+    energy_report(spec)
+    misses = [f.cache_info().misses for f in caches]
+    divisor_class_row.cache_clear()  # so the second report calls into arith again
+    energy_report(spec)
+    assert [f.cache_info().misses for f in caches] == misses

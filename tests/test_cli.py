@@ -1,11 +1,14 @@
 """Command-line interface: byte-exact output, exit codes, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from icgraph import cli
 from icgraph.cli import main
 from icgraph.graphs import parse_spec
+from icgraph.sweep import subset_count
 
 
 def run(capsys, *argv):
@@ -200,6 +203,71 @@ def test_bad_tol_and_budget_are_usage_errors(argv):
 
 def test_budget_exit_3():
     assert main(["so-check", "5040"]) == 3
+
+
+OVER_BUDGET = "n=5040 has 576460752303423487 divisor subsets, over the budget of 1048576"
+
+
+@pytest.mark.parametrize(
+    "argv, code, message",
+    [
+        (["so-check", "5038..5040"], 3, OVER_BUDGET),
+        (["mod4-sweep", "5038..5040"], 3, OVER_BUDGET),
+        (["min-energy", "5038..5040"], 3, OVER_BUDGET),
+        (["verify-oracle", "99999..100001", "--budget", "1"], 1,
+         "trig oracle limited to n <= 100000, got 100001"),
+    ],
+)
+def test_range_that_fails_late_writes_no_row(capsys, argv, code, message):
+    assert run(capsys, *argv) == (code, "", f"icgraph: error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv, digest",
+    [
+        (["mod4-sweep", "2..60"], "418e8f5f344fd001a977d749c6d44804b14ab2044fe69bccb58dc882c7bf2304"),
+        (["mod4-sweep", "2..60", "--format", "csv"],
+         "bc869a8a070a2554ee4a53c5a9c4761d07d951645ae26d4c576d64683695064e"),
+        (["so-check", "2..80"], "d6a5004fabe2ffc6aef1872684264d4f9f6f0124d7ed04ebf5f5d29b5c362bda"),
+        (["min-energy", "2..80", "--no-connected-only"],
+         "ddb640b8ec918b14f193eb5f6970e8a3723f2b18652ab43013d785e78f5aa2b5"),
+        (["verify-oracle", "2..60"], "1effbea74c0756669a844be0e3f3b90f8d229de5d6dbc8b7070322a1715a2104"),
+    ],
+)
+def test_range_verbs_exact_bytes(capsys, argv, digest):
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_range_rows_are_written_before_the_next_n_starts(capsys, monkeypatch):
+    written = []
+    before = {}
+    rows = cli.mod4_rows
+
+    def spy(n, budget):
+        written.append(capsys.readouterr().out)
+        before[n] = "".join(written).splitlines()
+        return rows(n, budget)
+
+    monkeypatch.setattr(cli, "mod4_rows", spy)
+    assert main(["mod4-sweep", "2..12"]) == 0
+    for n in range(3, 13):
+        assert len(before[n]) == sum(subset_count(m) for m in range(2, n))
+        assert json.loads(before[n][-1])["spec"].startswith(f"{n - 1}:")
+
+
+def test_range_counterexamples_exit_2(capsys, monkeypatch):
+    rows = cli.mod4_rows
+
+    def wrong_at_6(n, budget):
+        for ds, e, residue, predicted in rows(n, budget):
+            yield ds, e, residue, predicted + (ds == (1,) and n == 6)
+
+    monkeypatch.setattr(cli, "mod4_rows", wrong_at_6)
+    code, out, err = run(capsys, "mod4-sweep", "5..7")
+    assert (code, err) == (2, "counterexamples: 6:1\n")
+    assert len(out.splitlines()) == subset_count(5) + subset_count(6) + subset_count(7)
 
 
 def test_help_exits_zero():
