@@ -85,17 +85,16 @@ def mobius(n: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n in increasing order."""
+    """All positive divisors of n in increasing order.
+
+    Each divisor is a product of prime powers p^k, 0 <= k <= a, over the
+    factorization of n, so no division beyond factorize(n) is needed.
+    """
     _check_positive(n)
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return tuple(small + large[::-1])
+    divs = [1]
+    for p, a in factorize(n):
+        divs = [d * p**k for d in divs for k in range(a + 1)]
+    return tuple(sorted(divs))
 
 
 def ramanujan(k: int, n: int) -> int:

@@ -5,8 +5,11 @@ no math happens here.  Output is JSON lines by default (one object per
 result, compact separators) or CSV with --format csv.
 
 The range verbs (mod4-sweep, so-check, min-energy, verify-oracle) check the
-whole range before writing a row, then write each row as it is produced:
+whole range before writing a row, then write rows as they are produced:
 `| head` ends a sweep early, and memory follows the current n, not the range.
+Rows are formatted a block at a time (one block per n for the verbs with one
+row per n, 1024 divisor sets per block for mod4-sweep), and each block goes
+to stdout as one string.
 
 Exit codes: 0 success, 1 usage error, 2 a verification verb found a
 counterexample, 3 enumeration budget exceeded.
@@ -20,11 +23,12 @@ import dataclasses
 import json
 import math
 import sys
+from json.encoder import encode_basestring_ascii
 
 from . import closed_forms, families, oracle
-from .energy import energy as graph_energy, energy_report, mod4_rows
+from .energy import energy as graph_energy, energy_report, mod4_blocks
 from .graphs import IcgSpec, parse_spec, spectrum
-from .sweep import DEFAULT_BUDGET, BudgetExceeded, check_budget
+from .sweep import DEFAULT_BUDGET, BudgetExceeded, check_budget, spec_names
 
 
 class _Parser(argparse.ArgumentParser):
@@ -104,18 +108,47 @@ def _csv_cell(value) -> str:
     return str(value)
 
 
-def _emit(rows, fmt: str) -> None:
+# JSON text of the scalar types that fill most columns, as the encoder writes them
+_JSON_SCALARS = {
+    str: encode_basestring_ascii,
+    int: int.__repr__,
+    bool: {True: "true", False: "false"}.__getitem__,
+}
+
+
+def _json_column(values, encode) -> list[str]:
+    """JSON text of each value; a column of one scalar type skips the encoder."""
+    kinds = set(map(type, values))
+    scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
+    return list(map(scalar or encode, values))
+
+
+def _block(rows) -> dict:
+    """A nonempty list of rows with the same keys as one block: key -> column."""
+    return {k: [row[k] for row in rows] for k in rows[0]}
+
+
+def _emit(blocks, fmt: str) -> None:
+    """Write blocks of rows to stdout, one string per block.
+
+    A block maps each field name to its column of values, one per row.  A
+    JSON line is the same text as json.dumps(row, separators=(",", ":"));
+    a CSV header comes from the first block.
+    """
     if fmt == "json":
-        for row in rows:
-            print(json.dumps(row, separators=(",", ":")))
+        encode = json.JSONEncoder(separators=(",", ":")).encode
+        for block in blocks:
+            line = "{" + ",".join(encode(k).replace("%", "%%") + ":%s" for k in block) + "}\n"
+            cols = [_json_column(col, encode) for col in block.values()]
+            sys.stdout.write("".join([line % row for row in zip(*cols)]))
     else:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = None
-        for row in rows:
+        for block in blocks:
             if header is None:
-                header = list(row)
+                header = list(block)
                 writer.writerow(header)
-            writer.writerow(_csv_cell(row[k]) for k in header)
+            writer.writerows(zip(*([_csv_cell(v) for v in block[k]] for k in header)))
 
 
 def _resolve_range(parser: _Parser, args) -> tuple[int, int]:
@@ -129,7 +162,7 @@ def _resolve_range(parser: _Parser, args) -> tuple[int, int]:
 def cmd_spectrum(parser, args) -> int:
     s = spectrum(args.spec)
     _emit(
-        [{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}],
+        [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}])],
         args.format,
     )
     return 0
@@ -138,23 +171,24 @@ def cmd_spectrum(parser, args) -> int:
 def cmd_energy(parser, args) -> int:
     e = graph_energy(args.spec)
     _emit(
-        [{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}],
+        [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}])],
         args.format,
     )
     return 0
 
 
 def cmd_report(parser, args) -> int:
-    _emit([energy_report(args.spec).to_json_dict()], args.format)
+    _emit([_block([energy_report(args.spec).to_json_dict()])], args.format)
     return 0
 
 
-def _run_range(parser, args, check, rows, failed, message) -> int:
-    """Check every n of the range, then emit the rows of each n as they are made.
+def _run_range(parser, args, check, blocks, failed, message) -> int:
+    """Check every n of the range, then emit the blocks of each n as they are made.
 
     check(n) raises for an n the verb cannot take, before any row is
-    written; rows(n) yields the rows of n; failed(row) marks a counterexample,
-    and message(failed_rows) is the stderr line that goes with exit code 2.
+    written; blocks(n) yields the rows of n as _emit blocks; failed(block)
+    lists the block's counterexamples in row order, and message(failed) is
+    the stderr line that goes with exit code 2.
     """
     lo, hi = _resolve_range(parser, args)
     for n in range(lo, hi + 1):
@@ -163,10 +197,9 @@ def _run_range(parser, args, check, rows, failed, message) -> int:
 
     def stream():
         for n in range(lo, hi + 1):
-            for row in rows(n):
-                if failed(row):
-                    bad.append(row)
-                yield row
+            for block in blocks(n):
+                bad.extend(failed(block))
+                yield block
 
     _emit(stream(), args.format)
     if bad:
@@ -176,20 +209,20 @@ def _run_range(parser, args, check, rows, failed, message) -> int:
 
 
 def cmd_mod4_sweep(parser, args) -> int:
-    def rows(n):
-        for ds, e, residue, predicted in mod4_rows(n, args.budget):
+    def blocks(n):
+        for masks, energies, residues, predicted in mod4_blocks(n, args.budget):
             yield {
-                "spec": IcgSpec(n, ds).canonical(),
-                "energy": e,
-                "residue4": residue,
-                "predicted4": predicted,
-                "match": residue == predicted,
+                "spec": spec_names(n, masks),
+                "energy": energies.tolist(),
+                "residue4": residues.tolist(),
+                "predicted4": predicted.tolist(),
+                "match": (residues == predicted).tolist(),
             }
 
     return _run_range(
-        parser, args, lambda n: check_budget(n, args.budget), rows,
-        lambda row: not row["match"],
-        lambda bad: f"counterexamples: {' '.join(row['spec'] for row in bad)}",
+        parser, args, lambda n: check_budget(n, args.budget), blocks,
+        lambda block: [spec for spec, ok in zip(block["spec"], block["match"]) if not ok],
+        lambda bad: f"counterexamples: {' '.join(bad)}",
     )
 
 
@@ -210,14 +243,14 @@ def cmd_closed_form(parser, args) -> int:
         out = {"n": args.n, "family": case.family.value, "p": p, "q": q}
     out["branch"] = case.case_tag
     out["energy"] = value
-    _emit([out], args.format)
+    _emit([_block([out])], args.format)
     return 0
 
 
 def cmd_cross_validate(parser, args) -> int:
     rows = closed_forms.cross_validate(args.n_max)
     table = [dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows]
-    _emit(table, args.format)
+    _emit([_block(table)], args.format)
     mismatches = [r for r in rows if not r.match]
     if mismatches:
         print(f"counterexamples: {len(mismatches)} formula/direct mismatches", file=sys.stderr)
@@ -230,15 +263,15 @@ def cmd_family(parser, args) -> int:
         report = families.equienergetic_family(args.n)
     else:
         report = families.equienergetic_family_second(args.n)
-    _emit([report.to_json_dict()], args.format)
+    _emit([_block([report.to_json_dict()])], args.format)
     return 0
 
 
 def cmd_so_check(parser, args) -> int:
     return _run_range(
         parser, args, lambda n: check_budget(n, args.budget),
-        lambda n: [families.so_conjecture_check(n, args.budget).to_json_dict()],
-        lambda row: bool(row["collisions"]),
+        lambda n: [_block([families.so_conjecture_check(n, args.budget).to_json_dict()])],
+        lambda block: [c for c in block["collisions"] if c],
         lambda bad: "counterexamples: cospectral divisor sets found",
     )
 
@@ -247,8 +280,9 @@ def cmd_min_energy(parser, args) -> int:
     search = families.min_energy_search
     return _run_range(
         parser, args, lambda n: check_budget(n, args.budget),
-        lambda n: [search(n, args.connected_only, args.budget).to_json_dict()],
-        lambda row: row.get("conjecture_holds") is False,  # set only when connected-only
+        lambda n: [_block([search(n, args.connected_only, args.budget).to_json_dict()])],
+        # conjecture_holds is set only when connected-only
+        lambda block: [h for h in block.get("conjecture_holds", ()) if h is False],
         lambda bad: "counterexamples: predicted minimum not attained",
     )
 
@@ -257,8 +291,8 @@ def cmd_verify_oracle(parser, args) -> int:
     verify = oracle.verify_against_trig
     return _run_range(
         parser, args, oracle.check_trig_n,
-        lambda n: [dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))],
-        lambda row: not row["ok"],
+        lambda n: [_block([dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))])],
+        lambda block: [ok for ok in block["ok"] if not ok],
         lambda bad: "counterexamples: exact and trig spectra disagree",
     )
 

@@ -12,6 +12,11 @@ and lambda_{n/2} < 0" looks symmetric but fails already at ICG_6({1}) (the
 6-cycle): there 3 is not in D and lambda_3 = -2, yet E = 8 is divisible by
 4.  Exhaustive sweeps (mod4_sweep) confirm the rule implemented here with
 no exceptions.
+
+The sweep has one definition, mod4_blocks: energies, residues and
+predictions of a block of divisor sets at a time, as arrays.  mod4_rows is
+its per-set view, mod4_sweep counts and names violations from it, and the
+CLI formats its rows a block at a time.
 """
 
 from __future__ import annotations
@@ -102,25 +107,40 @@ def energy_report(spec: IcgSpec) -> EnergyReport:
     )
 
 
-def mod4_rows(n: int, budget: int = DEFAULT_BUDGET):
-    """Yield (divisor set, energy, residue4, predicted4) for every D of n.
+def mod4_blocks(n: int, budget: int = DEFAULT_BUDGET):
+    """Yield (masks, energies, residue4, predicted4) for every D of n, a block at a time.
 
-    Deterministic order (ascending subset bitmask over ascending divisors).
-    Energies and middle eigenvalues come a block of divisor sets at a time
-    from the class eigenvalues, so no graph is built on its own.
+    The four are int64 arrays with one entry per divisor set, in the blocks
+    of iter_class_blocks (ascending masks).  Energies and middle eigenvalues
+    come from the class eigenvalues of the whole block, so no graph is
+    built on its own.
     """
     import numpy as np
 
-    divs = proper_divisors(n)
+    half = divisors(n).index(n // 2) if n % 2 == 0 else None
     for masks, L in iter_class_blocks(n, budget):
         energies = block_energies(L, n)
-        if n % 2:
+        if half is None:
             predicted = np.zeros_like(masks)
         else:
-            half_in_d = (masks >> divs.index(n // 2) & 1).astype(bool)
-            predicted = _residue_rule(half_in_d, L[:, divisors(n).index(n // 2)])
-        for mask, e, p in zip(masks.tolist(), energies.tolist(), predicted.tolist()):
-            yield mask_divisors(mask, divs), e, e % 4, p
+            # proper_divisors(n) is divisors(n) without n, so half is both the
+            # mask bit and the class column of n/2
+            half_in_d = (masks >> half & 1).astype(bool)
+            predicted = _residue_rule(half_in_d, L[:, half])
+        yield masks, energies, energies % 4, predicted
+
+
+def mod4_rows(n: int, budget: int = DEFAULT_BUDGET):
+    """Yield (divisor set, energy, residue4, predicted4) for every D of n.
+
+    A per-set view of mod4_blocks, in the same order (ascending subset
+    bitmask over ascending divisors), with Python ints.
+    """
+    divs = proper_divisors(n)
+    for masks, energies, residues, predicted in mod4_blocks(n, budget):
+        for mask, e, r, p in zip(masks.tolist(), energies.tolist(), residues.tolist(),
+                                 predicted.tolist()):
+            yield mask_divisors(mask, divs), e, r, p
 
 
 @dataclass(frozen=True)
@@ -132,10 +152,11 @@ class Mod4Summary:
 
 def mod4_sweep(n: int, budget: int = DEFAULT_BUDGET) -> Mod4Summary:
     """Check residue4 == predicted4 over every divisor set of n."""
+    divs = proper_divisors(n)
     sets = 0
     bad = []
-    for ds, e, residue, predicted in mod4_rows(n, budget):
-        sets += 1
-        if residue != predicted:
-            bad.append(IcgSpec(n, ds).canonical())
+    for masks, _, residues, predicted in mod4_blocks(n, budget):
+        sets += len(masks)
+        for mask in masks[residues != predicted].tolist():
+            bad.append(IcgSpec(n, mask_divisors(mask, divs)).canonical())
     return Mod4Summary(n, sets, tuple(bad))

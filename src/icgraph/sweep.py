@@ -6,7 +6,9 @@ are additive over divisors, and each divisor's contribution is one row of
 the tau'(n) x tau(n) table R[i, j] = c(e_j, n/d_i) (proper divisors d_i,
 divisors e_j).  So a block of subset masks, written as a 0/1 matrix of
 bits, gets the class eigenvalues of all its graphs as one product bits @ R.
-Blocks have a fixed number of masks, so memory stays bounded by n.
+Blocks have at most BLOCK masks and start at multiples of BLOCK, so the
+masks of a block share every bit above the low LOW_BITS, and memory stays
+bounded by n.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
 refers to the i-th smallest proper divisor.
@@ -14,6 +16,7 @@ refers to the i-th smallest proper divisor.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -25,6 +28,7 @@ if TYPE_CHECKING:
 
 DEFAULT_BUDGET = 1 << 20
 BLOCK = 1024  # masks per block
+LOW_BITS = BLOCK.bit_length() - 1  # the masks of one block differ only in these bits
 
 
 class BudgetExceeded(RuntimeError):
@@ -90,16 +94,17 @@ def class_block(masks, table: np.ndarray) -> np.ndarray:
 def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     """Yield (masks, L) for every nonempty divisor subset of n, BLOCK masks at a time.
 
-    masks is an ascending int64 array; row i of the int64 array L holds the
-    class eigenvalues (Spectrum.classes) of ICG_n(D) for
+    masks is an ascending int64 array of the masks in [k * BLOCK, (k + 1) * BLOCK)
+    for one k (mask 0, the empty set, is left out); row i of the int64 array
+    L holds the class eigenvalues (Spectrum.classes) of ICG_n(D) for
     D = mask_divisors(masks[i], proper_divisors(n)).
     """
     import numpy as np
 
     total = check_budget(n, budget)
     table = class_table(n)
-    for lo in range(1, total + 1, BLOCK):
-        masks = np.arange(lo, min(lo + BLOCK, total + 1))
+    for lo in range(0, total + 1, BLOCK):
+        masks = np.arange(lo or 1, min(lo + BLOCK, total + 1))
         yield masks, class_block(masks, table)
 
 
@@ -130,3 +135,32 @@ def subset_gcd_table(divs: tuple[int, ...]) -> list[int]:
         low = mask & -mask
         table[mask] = gcd(table[mask ^ low], divs[low.bit_length() - 1])
     return table
+
+
+@lru_cache(maxsize=8)
+def _low_texts(divs: tuple[int, ...]) -> tuple[str, ...]:
+    """The text d1,d2,... of the divisors each mask selects, by mask (entry 0 is "")."""
+    texts = [""] * (1 << len(divs))
+    for mask in range(1, len(texts)):
+        low = mask & -mask
+        rest = texts[mask ^ low]
+        d = str(divs[low.bit_length() - 1])
+        texts[mask] = f"{d},{rest}" if rest else d
+    return tuple(texts)
+
+
+def spec_names(n: int, masks) -> list[str]:
+    """Canonical text "n:d1,d2,..." of the divisor set of each mask of one block.
+
+    The masks must share their bits above the low LOW_BITS, as the masks of
+    one iter_class_blocks block do.  The text of the low bits comes from a
+    table of 2^LOW_BITS strings per n, the high bits are written once.
+    """
+    divs = proper_divisors(n)
+    low = _low_texts(divs[:LOW_BITS])
+    lows = (masks & (BLOCK - 1)).tolist()
+    high = ",".join(map(str, mask_divisors(int(masks[0]) >> LOW_BITS, divs[LOW_BITS:])))
+    head = f"{n}:"
+    if not high:
+        return [head + low[m] for m in lows]
+    return [f"{head}{low[m]},{high}" if m else head + high for m in lows]

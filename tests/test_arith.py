@@ -79,6 +79,16 @@ def test_divisors():
         assert list(ds) == sorted(ds)
 
 
+def _trial_divisors(n):
+    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    return tuple(small + [n // d for d in reversed(small) if d * d != n])
+
+
+def test_divisors_match_trial_division():
+    for n in [*range(1, 10**4 + 1), 510510, 693770, 799799]:
+        assert divisors(n) == _trial_divisors(n), n
+
+
 def test_ramanujan_anchors():
     assert ramanujan(0, 1) == 1
     assert ramanujan(2, 4) == -2

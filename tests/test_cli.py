@@ -232,6 +232,11 @@ def test_range_that_fails_late_writes_no_row(capsys, argv, code, message):
         (["min-energy", "2..80", "--no-connected-only"],
          "ddb640b8ec918b14f193eb5f6970e8a3723f2b18652ab43013d785e78f5aa2b5"),
         (["verify-oracle", "2..60"], "1effbea74c0756669a844be0e3f3b90f8d229de5d6dbc8b7070322a1715a2104"),
+        # 120 has 15 proper divisors, so its names span 32 blocks
+        (["mod4-sweep", "118..122"],
+         "0c4334bdae3cb500283d7b50b592d2cbd78bf4789951829b9401040af56d2bb7"),
+        (["mod4-sweep", "118..122", "--format", "csv"],
+         "8aef6aa8e4015514135535f2dbf2b4d7b28cdaee8059ff5a720af2dedfe36f1d"),
     ],
 )
 def test_range_verbs_exact_bytes(capsys, argv, digest):
@@ -243,14 +248,14 @@ def test_range_verbs_exact_bytes(capsys, argv, digest):
 def test_range_rows_are_written_before_the_next_n_starts(capsys, monkeypatch):
     written = []
     before = {}
-    rows = cli.mod4_rows
+    blocks = cli.mod4_blocks
 
     def spy(n, budget):
         written.append(capsys.readouterr().out)
         before[n] = "".join(written).splitlines()
-        return rows(n, budget)
+        return blocks(n, budget)
 
-    monkeypatch.setattr(cli, "mod4_rows", spy)
+    monkeypatch.setattr(cli, "mod4_blocks", spy)
     assert main(["mod4-sweep", "2..12"]) == 0
     for n in range(3, 13):
         assert len(before[n]) == sum(subset_count(m) for m in range(2, n))
@@ -258,16 +263,27 @@ def test_range_rows_are_written_before_the_next_n_starts(capsys, monkeypatch):
 
 
 def test_range_counterexamples_exit_2(capsys, monkeypatch):
-    rows = cli.mod4_rows
+    blocks = cli.mod4_blocks
 
     def wrong_at_6(n, budget):
-        for ds, e, residue, predicted in rows(n, budget):
-            yield ds, e, residue, predicted + (ds == (1,) and n == 6)
+        for masks, energies, residues, predicted in blocks(n, budget):
+            yield masks, energies, residues, predicted + ((masks == 1) & (n == 6))
 
-    monkeypatch.setattr(cli, "mod4_rows", wrong_at_6)
+    monkeypatch.setattr(cli, "mod4_blocks", wrong_at_6)
     code, out, err = run(capsys, "mod4-sweep", "5..7")
     assert (code, err) == (2, "counterexamples: 6:1\n")
     assert len(out.splitlines()) == subset_count(5) + subset_count(6) + subset_count(7)
+
+
+def test_emit_json_lines_equal_json_dumps(capsys):
+    rows = [
+        {"s": "a\"b\u00e9", "i": 3, "b": True, "f": 0.1, "x": None, "l": [1, [2]], "%s": 1},
+        {"s": "", "i": -2**70, "b": False, "f": float("nan"), "x": 1, "l": [], "%s": "%d"},
+        {"s": "c", "i": True, "b": 1, "f": 2, "x": "y", "l": {"k": 1}, "%s": False},
+    ]
+    cli._emit([cli._block(rows[:1]), cli._block(rows[1:])], "json")
+    expect = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+    assert capsys.readouterr().out == expect
 
 
 def test_help_exits_zero():

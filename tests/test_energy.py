@@ -1,5 +1,7 @@
 """Energy values, the mod-4 dichotomy, and the report plumbing."""
 
+import importlib
+
 import pytest
 
 from icgraph.energy import (
@@ -7,12 +9,19 @@ from icgraph.energy import (
     energy_report,
     hyperenergetic,
     lambda_half,
+    mod4_blocks,
     mod4_predicted,
     mod4_rows,
     mod4_sweep,
 )
 from icgraph.graphs import IcgSpec, spectrum
-from icgraph.sweep import iter_subset_spectra, mask_divisors, proper_divisors, subset_count
+from icgraph.sweep import (
+    iter_subset_spectra,
+    mask_divisors,
+    proper_divisors,
+    spec_names,
+    subset_count,
+)
 
 
 def test_energy_anchors():
@@ -114,6 +123,35 @@ def test_mod4_sweep_clean_small():
         s = mod4_sweep(n)
         assert s.violations == (), n
         assert s.sets == subset_count(n)
+
+
+def test_mod4_sweep_names_each_violation(monkeypatch):
+    energy_module = importlib.import_module("icgraph.energy")  # icgraph.energy is the function
+    blocks = energy_module.mod4_blocks
+
+    def wrong(n, budget):
+        for masks, energies, residues, predicted in blocks(n, budget):
+            yield masks, energies, residues, predicted + (masks % 1000 == 3)
+
+    monkeypatch.setattr(energy_module, "mod4_blocks", wrong)
+    s = mod4_sweep(120)
+    assert s.sets == subset_count(120)
+    divs = proper_divisors(120)
+    expect = [m for m in range(1, s.sets + 1) if m % 1000 == 3]
+    assert s.violations == tuple(IcgSpec(120, mask_divisors(m, divs)).canonical() for m in expect)
+
+
+def test_block_spec_names_are_canonical():
+    # 96 and 120 have 11 and 15 proper divisors: names span several blocks
+    for n in [*range(2, 65), 96, 120]:
+        divs = proper_divisors(n)
+        seen = []
+        for masks, _, _, _ in mod4_blocks(n):
+            names = spec_names(n, masks)
+            assert names == [IcgSpec(n, mask_divisors(m, divs)).canonical()
+                             for m in masks.tolist()], n
+            seen.extend(masks.tolist())
+        assert seen == list(range(1, subset_count(n) + 1)), n
 
 
 def test_energy_scales_with_components():
