@@ -59,7 +59,7 @@ from .oracle import (
     spectrum_trig,
     verify_against_trig,
 )
-from .sweep import BudgetExceeded, DEFAULT_BUDGET, iter_subset_spectra, proper_divisors, subset_count
+from .sweep import BudgetExceeded, DEFAULT_BUDGET, proper_divisors, subset_count
 
 __version__ = "0.1.0"
 
@@ -98,7 +98,6 @@ __all__ = [
     "factorize",
     "hyperenergetic",
     "is_prime",
-    "iter_subset_spectra",
     "lambda_half",
     "min_energy_search",
     "mobius",

@@ -14,9 +14,9 @@ and lambda_{n/2} < 0" looks symmetric but fails already at ICG_6({1}) (the
 no exceptions.
 
 The sweep has one definition, mod4_blocks: energies, residues and
-predictions of a block of divisor sets at a time, as arrays.  mod4_rows is
-its per-set view, mod4_sweep counts and names violations from it, and the
-CLI formats its rows a block at a time.
+predictions of a block of divisor sets at a time, as arrays.  mod4_sweep
+counts and names violations from it, and the CLI formats its rows a block
+at a time.
 """
 
 from __future__ import annotations
@@ -128,19 +128,6 @@ def mod4_blocks(n: int, budget: int = DEFAULT_BUDGET):
             half_in_d = (masks >> half & 1).astype(bool)
             predicted = _residue_rule(half_in_d, L[:, half])
         yield masks, energies, energies % 4, predicted
-
-
-def mod4_rows(n: int, budget: int = DEFAULT_BUDGET):
-    """Yield (divisor set, energy, residue4, predicted4) for every D of n.
-
-    A per-set view of mod4_blocks, in the same order (ascending subset
-    bitmask over ascending divisors), with Python ints.
-    """
-    divs = proper_divisors(n)
-    for masks, energies, residues, predicted in mod4_blocks(n, budget):
-        for mask, e, r, p in zip(masks.tolist(), energies.tolist(), residues.tolist(),
-                                 predicted.tolist()):
-            yield mask_divisors(mask, divs), e, r, p
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ Highlights:
   values attached (even n: minimum n, attained by the all-odd-divisors
   set, which is a complete bipartite K_{n/2,n/2}; odd n: conjectured
   minimum 2n(1 - 1/p) for the smallest prime p, attained by the divisors
-  coprime to p).
+  coprime to p), with connectivity read from each graph's degree class.
 
 All searches run over every nonempty divisor subset (within the sweep
 budget) and are deterministic.
@@ -26,14 +26,7 @@ from fractions import Fraction
 
 from .arith import divisors, euler_phi, factorize, prime_factors
 from .graphs import IcgSpec, Spectrum, block_energies, cospectral_keys, spectrum
-from .sweep import (
-    DEFAULT_BUDGET,
-    check_budget,
-    iter_class_blocks,
-    mask_divisors,
-    proper_divisors,
-    subset_gcd_table,
-)
+from .sweep import DEFAULT_BUDGET, check_budget, iter_class_blocks, mask_divisors, proper_divisors
 
 
 @dataclass(frozen=True)
@@ -251,21 +244,22 @@ def min_energy_search(
 ) -> ExtremalReport:
     """Exhaustive minimum of E(ICG_n(D)) over divisor sets D.
 
-    With connected_only (the default) only sets with gcd(D) = 1 compete,
-    and the report carries the predicted minimum for comparison: n itself
-    for even n, 2n(1 - 1/p) for odd n with smallest prime p.
-    """
-    import numpy as np
+    With connected_only (the default) only connected graphs (gcd(D) = 1)
+    compete, and the report carries the predicted minimum for comparison: n
+    itself for even n, 2n(1 - 1/p) for odd n with smallest prime p.
 
-    check_budget(n, budget)
+    Connectivity is read from the class eigenvalues: a regular graph has as
+    many components as its degree has multiplicity, and the degree is the
+    last class (e = n, weight phi(1) = 1), so D is connected exactly when no
+    other class equals it.
+    """
     divs = proper_divisors(n)
-    connected = np.array(subset_gcd_table(divs)) == 1 if connected_only else None
     best = None
     argmin: list[int] = []
     for masks, L in iter_class_blocks(n, budget):
         energies = block_energies(L, n)
-        if connected is not None:
-            keep = connected[masks]
+        if connected_only:
+            keep = (L[:, :-1] != L[:, -1:]).all(axis=1)
             masks, energies = masks[keep], energies[keep]
         if not len(masks):
             continue

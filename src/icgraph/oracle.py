@@ -131,8 +131,9 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
 
     Exhaustive when n has at most `budget` nonempty subsets; otherwise a
     deterministic sample of `budget` subsets (seeded by n) is used.  The
-    exact side is the sweep's class-eigenvalue block, expanded to index
-    order; the trig side is one FFT per block of at most FFT_CELLS cells.
+    masks go in parts of at most BLOCK masks and FFT_CELLS cells; the exact
+    side of a part is its class-eigenvalue block, expanded to index order,
+    and the trig side is one FFT.
     """
     import numpy as np
 
@@ -146,21 +147,18 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
         return IcgSpec(n, mask_divisors(int(mask), divs)).canonical()
 
     index = class_index(n)
-    rows = max(1, FFT_CELLS // n)
+    rows = min(BLOCK, max(1, FFT_CELLS // n))
     worst, worst_spec, worst_index = 0.0, None, 0
     failures: list[str] = []
-    for start in range(0, len(masks), BLOCK):
-        block = masks[start : start + BLOCK]
-        L = class_block(block, table)
-        for lo in range(0, len(block), rows):
-            part = block[lo : lo + rows]
-            dev = np.abs(L[lo : lo + rows][:, index] - _trig_block(n, part))
-            cols = dev.argmax(axis=1)
-            row_dev = dev[np.arange(len(cols)), cols]
-            r = int(row_dev.argmax())
-            if row_dev[r] > worst or worst_spec is None:
-                worst, worst_spec, worst_index = float(row_dev[r]), name(part[r]), int(cols[r])
-            failures += [name(part[r]) for r in np.flatnonzero(~(row_dev <= tol))]
+    for lo in range(0, len(masks), rows):
+        part = masks[lo : lo + rows]
+        dev = np.abs(class_block(part, table)[:, index] - _trig_block(n, part))
+        cols = dev.argmax(axis=1)
+        row_dev = dev[np.arange(len(cols)), cols]
+        r = int(row_dev.argmax())
+        if row_dev[r] > worst or worst_spec is None:
+            worst, worst_spec, worst_index = float(row_dev[r]), name(part[r]), int(cols[r])
+        failures += [name(part[r]) for r in np.flatnonzero(~(row_dev <= tol))]
 
     return OracleReport(n, len(masks), exhaustive, worst, not failures, tuple(failures),
                         worst_spec, worst_index)

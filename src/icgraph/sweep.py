@@ -8,7 +8,7 @@ divisors e_j).  So a block of subset masks, written as a 0/1 matrix of
 bits, gets the class eigenvalues of all its graphs as one product bits @ R.
 Blocks have at most BLOCK masks and start at multiples of BLOCK, so the
 masks of a block share every bit above the low LOW_BITS, and memory stays
-bounded by n.
+bounded by one block: the enumeration keeps nothing per set beyond it.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
 refers to the i-th smallest proper divisor.
@@ -17,11 +17,10 @@ refers to the i-th smallest proper divisor.
 from __future__ import annotations
 
 from functools import lru_cache
-from math import gcd
 from typing import TYPE_CHECKING
 
 from .arith import divisors
-from .graphs import class_index, divisor_class_row
+from .graphs import divisor_class_row
 
 if TYPE_CHECKING:
     import numpy as np
@@ -106,35 +105,6 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     for lo in range(0, total + 1, BLOCK):
         masks = np.arange(lo or 1, min(lo + BLOCK, total + 1))
         yield masks, class_block(masks, table)
-
-
-def iter_subset_spectra(n: int, budget: int = DEFAULT_BUDGET):
-    """Yield (mask, spectrum_vector) for every nonempty divisor subset of n.
-
-    The vector is an int64 array of length n holding the index-ordered
-    spectrum of ICG_n(D) for D = mask_divisors(mask, proper_divisors(n)).
-    It is reused between yields; callers must copy it to keep it.
-    """
-    import numpy as np
-
-    index = class_index(n)
-    vec = np.empty(n, dtype=np.int64)
-    for masks, L in iter_class_blocks(n, budget):
-        for mask, row in zip(masks.tolist(), L):
-            yield mask, np.take(row, index, out=vec)
-
-
-def subset_gcd_table(divs: tuple[int, ...]) -> list[int]:
-    """gcds of all divisor subsets, indexed by mask (entry 0 is 0).
-
-    table[m] = gcd of the divisors selected by m; a subset is connected as
-    an ICG divisor set exactly when its entry is 1.
-    """
-    table = [0] * (1 << len(divs))
-    for mask in range(1, len(table)):
-        low = mask & -mask
-        table[mask] = gcd(table[mask ^ low], divs[low.bit_length() - 1])
-    return table
 
 
 @lru_cache(maxsize=8)

@@ -7,6 +7,7 @@ the comparison.  Run with `pytest -s tests/test_acceptance.py` to see the
 status lines; the whole file stays under a couple of minutes.
 """
 
+import math
 import time
 
 import numpy as np
@@ -17,7 +18,7 @@ from icgraph.closed_forms import (
     energy_one_prime_power,
     energy_two_primes,
 )
-from icgraph.energy import energy, energy_report, lambda_half, mod4_rows
+from icgraph.energy import energy, energy_report, lambda_half, mod4_blocks
 from icgraph.families import (
     bipartite_extremal_spectrum,
     equienergetic_family,
@@ -26,7 +27,7 @@ from icgraph.families import (
     second_spectral_value,
     so_conjecture_check,
 )
-from icgraph.graphs import IcgSpec, component_decomposition, spectrum
+from icgraph.graphs import IcgSpec, class_index, component_decomposition, spectrum
 from icgraph.oracle import (
     count_four_cycles,
     energy_lower_bounds,
@@ -34,12 +35,7 @@ from icgraph.oracle import (
     spectrum_trig,
     verify_against_trig,
 )
-from icgraph.sweep import (
-    iter_subset_spectra,
-    mask_divisors,
-    proper_divisors,
-    subset_gcd_table,
-)
+from icgraph.sweep import iter_class_blocks, mask_divisors, proper_divisors
 
 
 def _status(label: str, failures, detail: str) -> None:
@@ -78,10 +74,11 @@ def test_criterion_02_odd_energy_mod_4():
     failures = []
     sets = 0
     for n in range(3, 302, 2):
-        for ds, e, residue, _ in mod4_rows(n):
-            sets += 1
-            if residue != 0:
-                failures.append((n, ds, e))
+        divs = proper_divisors(n)
+        for masks, es, residues, _ in mod4_blocks(n):
+            sets += len(masks)
+            for mask, e in zip(masks[residues != 0].tolist(), es[residues != 0].tolist()):
+                failures.append((n, mask_divisors(mask, divs), e))
     expected_sets = sum(2 ** (len(divisors(n)) - 1) - 1 for n in range(3, 302, 2))
     _status("criterion 02 (odd n: E = 0 mod 4)", failures, f"{sets} divisor sets")
     assert not failures
@@ -93,10 +90,13 @@ def test_criterion_03_even_energy_mod_4():
     failures = []
     sets = 0
     for n in range(2, 301, 2):
-        for ds, e, residue, predicted in mod4_rows(n):
-            sets += 1
-            if residue != predicted:
-                failures.append((n, ds, e, residue, predicted))
+        divs = proper_divisors(n)
+        for masks, es, residues, predicted in mod4_blocks(n):
+            sets += len(masks)
+            bad = residues != predicted
+            for mask, e, r, p in zip(masks[bad].tolist(), es[bad].tolist(),
+                                     residues[bad].tolist(), predicted[bad].tolist()):
+                failures.append((n, mask_divisors(mask, divs), e, r, p))
     expected_sets = sum(2 ** (len(divisors(n)) - 1) - 1 for n in range(2, 301, 2))
 
     # The boundary graph that rules out the naive "n/2 in D or middle
@@ -296,22 +296,22 @@ def test_criterion_10_component_theorem():
         for d in divisors(n)[1:-1]:
             m = n // d
             mdivs = proper_divisors(m)
-            gcds = subset_gcd_table(mdivs)
-            for mask, vec in iter_subset_spectra(m):
-                if gcds[mask] != 1:
-                    continue  # quotient itself disconnected: counted at d' = d*gcd
-                quotient_divs = mask_divisors(mask, mdivs)
-                big_spec = IcgSpec(n, tuple(d * x for x in quotient_divs))
-                scale, quotient = component_decomposition(big_spec)
-                if (scale, quotient) != (d, IcgSpec(m, quotient_divs)):
-                    failures.append((big_spec.canonical(), "decomposition"))
-                    continue
-                tiled = sorted(np.tile(vec, d).tolist())
-                if sorted(spectrum(big_spec).values) != tiled:
-                    failures.append((big_spec.canonical(), "spectrum"))
-                if energy(big_spec) != d * int(np.abs(vec).sum()):
-                    failures.append((big_spec.canonical(), "energy"))
-                checked += 1
+            for masks, L in iter_class_blocks(m):
+                for mask, vec in zip(masks.tolist(), L[:, class_index(m)]):
+                    quotient_divs = mask_divisors(mask, mdivs)
+                    if math.gcd(*quotient_divs) != 1:
+                        continue  # quotient itself disconnected: counted at d' = d*gcd
+                    big_spec = IcgSpec(n, tuple(d * x for x in quotient_divs))
+                    scale, quotient = component_decomposition(big_spec)
+                    if (scale, quotient) != (d, IcgSpec(m, quotient_divs)):
+                        failures.append((big_spec.canonical(), "decomposition"))
+                        continue
+                    tiled = sorted(np.tile(vec, d).tolist())
+                    if sorted(spectrum(big_spec).values) != tiled:
+                        failures.append((big_spec.canonical(), "spectrum"))
+                    if energy(big_spec) != d * int(np.abs(vec).sum()):
+                        failures.append((big_spec.canonical(), "energy"))
+                    checked += 1
     _status(
         "criterion 10 (component theorem)",
         failures,

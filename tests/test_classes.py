@@ -6,22 +6,25 @@ with plain Ramanujan-sum loops, group cospectral sets by sorted index-order
 vectors, and check the paper's identities at random orders up to 10^6.
 """
 
+import math
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from icgraph.arith import factorize, ramanujan
 from icgraph.closed_forms import energy_one_prime_power, energy_two_primes
-from icgraph.energy import energy, energy_report, lambda_half, mod4_rows
+from icgraph.energy import energy, energy_report, lambda_half, mod4_blocks
 from icgraph.families import min_energy_search, so_conjecture_check
-from icgraph.graphs import IcgSpec, component_decomposition, cospectral_keys, degree, spectrum
-from icgraph.sweep import (
-    iter_class_blocks,
-    iter_subset_spectra,
-    mask_divisors,
-    proper_divisors,
-    subset_gcd_table,
+from icgraph.graphs import (
+    IcgSpec,
+    class_index,
+    component_decomposition,
+    cospectral_keys,
+    degree,
+    spectrum,
 )
+from icgraph.sweep import iter_class_blocks, mask_divisors, proper_divisors, subset_count
 
 SETTINGS = settings(max_examples=60, deadline=None, database=None)
 
@@ -101,21 +104,36 @@ def test_class_energy_equals_closed_forms(case):
 
 
 def test_block_sweeps_equal_per_set_reference():
-    """mod4_rows and min_energy_search against length-n vectors summed per set."""
-    for n in (36, 60, 90, 105, 120):
+    """mod4_blocks and min_energy_search against length-n vectors summed per set.
+
+    Connectivity comes from math.gcd per set.  For even n the disconnected
+    perfect matching {n/2} also has energy n, so argmin_sets tells a dropped
+    connectivity filter apart from a working one.
+    """
+    for n in (36, 60, 64, 90, 105, 120, 210):
         divs = proper_divisors(n)
         rows = {d: np.array([ramanujan(k, n // d) for k in range(n)]) for d in divs}
-        gcds = subset_gcd_table(divs)
-        best = None
-        for mask, (ds, e, residue, predicted) in enumerate(mod4_rows(n), start=1):
-            vec = sum(rows[d] for d in mask_divisors(mask, divs))
-            assert ds == mask_divisors(mask, divs)
-            assert e == int(np.abs(vec).sum()) and residue == e % 4
-            half = n % 2 == 0 and n // 2 in ds and vec[n // 2] < 0
-            assert predicted == (2 if half else 0), (n, ds)
-            if gcds[mask] == 1:
-                best = e if best is None else min(best, e)
-        assert min_energy_search(n).min_energy == best
+        energies = {}
+        seen = []
+        for masks, es, residues, predicted in mod4_blocks(n):
+            seen += masks.tolist()
+            for mask, e, residue, p in zip(masks.tolist(), es.tolist(), residues.tolist(),
+                                            predicted.tolist()):
+                ds = mask_divisors(mask, divs)
+                vec = sum(rows[d] for d in ds)
+                assert e == int(np.abs(vec).sum()) and residue == e % 4
+                half = n % 2 == 0 and n // 2 in ds and vec[n // 2] < 0
+                assert p == (2 if half else 0), (n, ds)
+                energies[ds] = e
+        assert seen == list(range(1, subset_count(n) + 1))
+        for connected_only in (True, False):
+            pool = {ds: e for ds, e in energies.items()
+                    if math.gcd(*ds) == 1 or not connected_only}
+            best = min(pool.values())
+            argmin = sorted((ds for ds, e in pool.items() if e == best),
+                            key=lambda ds: ",".join(map(str, ds)))
+            report = min_energy_search(n, connected_only=connected_only)
+            assert (report.min_energy, report.argmin_sets) == (best, tuple(argmin)), n
 
 
 def test_cospectral_keys_merge_classes_with_equal_values():
@@ -129,8 +147,9 @@ def test_cospectral_grouping_equals_sorted_vector_grouping():
         divs = proper_divisors(n)
         by_vector = {}
         ref_owner = {
-            mask: by_vector.setdefault(np.sort(vec).tobytes(), mask)
-            for mask, vec in iter_subset_spectra(n)
+            mask: by_vector.setdefault(vec.tobytes(), mask)
+            for masks, L in iter_class_blocks(n)
+            for mask, vec in zip(masks.tolist(), np.sort(L[:, class_index(n)], axis=1))
         }
         by_key = {}
         key_owner = {}

@@ -11,12 +11,11 @@ from icgraph.energy import (
     lambda_half,
     mod4_blocks,
     mod4_predicted,
-    mod4_rows,
     mod4_sweep,
 )
-from icgraph.graphs import IcgSpec, spectrum
+from icgraph.graphs import IcgSpec, class_index, spectrum
 from icgraph.sweep import (
-    iter_subset_spectra,
+    iter_class_blocks,
     mask_divisors,
     proper_divisors,
     spec_names,
@@ -35,8 +34,8 @@ def test_energy_anchors():
 
 def test_energy_is_always_even():
     for n in range(2, 31):
-        for ds, e, _, _ in mod4_rows(n):
-            assert e % 2 == 0, (n, ds)
+        for masks, e, _, _ in mod4_blocks(n):
+            assert not (e % 2).any(), (n, masks[e % 2 != 0].tolist())
 
 
 def test_lambda_half():
@@ -50,17 +49,20 @@ def test_lambda_half():
 def test_lambda_half_is_positional_eigenvalue():
     for n in range(2, 41, 2):
         divs = proper_divisors(n)
-        for mask, vec in iter_subset_spectra(n):
-            spec = IcgSpec(n, mask_divisors(mask, divs))
-            assert lambda_half(spec) == int(vec[n // 2]), spec
+        for masks, L in iter_class_blocks(n):
+            for mask, middle in zip(masks.tolist(), L[:, class_index(n)[n // 2]].tolist()):
+                spec = IcgSpec(n, mask_divisors(mask, divs))
+                assert lambda_half(spec) == middle, spec
 
 
 def test_middle_and_degree_have_equal_parity():
     for n in range(2, 61, 2):
-        for ds, _, _, _ in mod4_rows(n):
-            spec = IcgSpec(n, ds)
-            vals = spectrum(spec).values
-            assert (vals[0] - vals[n // 2]) % 2 == 0, spec
+        divs = proper_divisors(n)
+        for masks, _, _, _ in mod4_blocks(n):
+            for mask in masks.tolist():
+                spec = IcgSpec(n, mask_divisors(mask, divs))
+                vals = spectrum(spec).values
+                assert (vals[0] - vals[n // 2]) % 2 == 0, spec
 
 
 def test_mod4_predicted():
@@ -86,9 +88,12 @@ def test_six_cycle_boundary_case():
 def test_middle_eigenvalue_odd_when_half_in_d():
     # with n/2 in D the middle eigenvalue is odd, so "negative" is never "zero"
     for n in range(2, 61, 2):
-        for ds, _, _, _ in mod4_rows(n):
-            if n // 2 in ds:
-                assert lambda_half(IcgSpec(n, ds)) % 2 == 1, (n, ds)
+        divs = proper_divisors(n)
+        for masks, _, _, _ in mod4_blocks(n):
+            for mask in masks.tolist():
+                ds = mask_divisors(mask, divs)
+                if n // 2 in ds:
+                    assert lambda_half(IcgSpec(n, ds)) % 2 == 1, (n, ds)
 
 
 def test_hyperenergetic():

@@ -176,3 +176,11 @@ def test_single_graph_path_does_not_load_numpy():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_public_names_resolve_once():
+    import icgraph
+
+    assert len(set(icgraph.__all__)) == len(icgraph.__all__)
+    missing = [name for name in icgraph.__all__ if not hasattr(icgraph, name)]
+    assert not missing, missing

@@ -5,15 +5,15 @@ import math
 import numpy as np
 import pytest
 
-from icgraph.graphs import IcgSpec, spectrum
+from icgraph.arith import divisors, euler_phi
+from icgraph.graphs import IcgSpec, class_index, spectrum
 from icgraph.sweep import (
     BudgetExceeded,
     check_budget,
-    iter_subset_spectra,
+    iter_class_blocks,
     mask_divisors,
     proper_divisors,
     subset_count,
-    subset_gcd_table,
 )
 
 
@@ -34,12 +34,12 @@ def test_budget_enforcement():
     with pytest.raises(BudgetExceeded):
         check_budget(12, budget=30)
     with pytest.raises(BudgetExceeded):
-        list(iter_subset_spectra(48, budget=100))
+        list(iter_class_blocks(48, budget=100))
 
 
 def test_mask_decoding_order():
     divs = proper_divisors(12)
-    seen = [mask for mask, _ in iter_subset_spectra(12)]
+    seen = [mask for masks, _ in iter_class_blocks(12) for mask in masks.tolist()]
     assert seen == list(range(1, 32))  # ascending, no gaps
     assert mask_divisors(1, divs) == (1,)
     assert mask_divisors(0b10110, divs) == (2, 3, 6)
@@ -49,25 +49,22 @@ def test_incremental_spectra_match_direct():
     """The blocked class products must reproduce every spectrum exactly."""
     for n in (12, 18, 30, 36):
         divs = proper_divisors(n)
-        for mask, vec in iter_subset_spectra(n):
-            expect = spectrum(IcgSpec(n, mask_divisors(mask, divs))).values
-            assert tuple(int(v) for v in vec) == expect, (n, mask)
+        for masks, L in iter_class_blocks(n):
+            for mask, vec in zip(masks.tolist(), L[:, class_index(n)].tolist()):
+                expect = spectrum(IcgSpec(n, mask_divisors(mask, divs))).values
+                assert tuple(vec) == expect, (n, mask)
 
 
 def test_gcd_table():
-    for n in (24, 30):
+    """The degree class counts components: its eigenvalue's multiplicity is gcd(D).
+
+    min_energy_search reads connectivity from this identity, so it is checked
+    for every mask against math.gcd of the divisor set.
+    """
+    for n in (24, 30, 64, 180):
         divs = proper_divisors(n)
-        table = subset_gcd_table(divs)
-        assert table[0] == 0
-        for mask in range(1, 1 << len(divs)):
-            assert table[mask] == math.gcd(*mask_divisors(mask, divs), 0), (n, mask)
-
-
-def test_yielded_vector_is_reused():
-    # documented sharp edge: the array is a buffer, not a fresh copy
-    it = iter_subset_spectra(6)
-    _, first = next(it)
-    snapshot = first.copy()
-    _, second = next(it)
-    assert second is first
-    assert not np.array_equal(snapshot, first)
+        weights = np.array([euler_phi(n // e) for e in divisors(n)])
+        for masks, L in iter_class_blocks(n):
+            components = ((L == L[:, -1:]) * weights).sum(axis=1)
+            for mask, c in zip(masks.tolist(), components.tolist()):
+                assert c == math.gcd(*mask_divisors(mask, divs)), (n, mask)
