@@ -11,6 +11,10 @@ Rows are formatted a block at a time (one block per n for the verbs with one
 row per n, 1024 divisor sets per block for mod4-sweep), and each block goes
 to stdout as one string.
 
+argparse enforces which arguments go together: a range verb takes exactly
+one of a positional target and --range, closed-form exactly one of --power
+and --pair.  A usage error prints the verb's own usage line.
+
 Exit codes: 0 success, 1 usage error, 2 a verification verb found a
 counterexample, 3 enumeration budget exceeded.
 """
@@ -47,14 +51,19 @@ def _spec_arg(text: str) -> IcgSpec:
         raise argparse.ArgumentTypeError(str(e)) from None
 
 
-def _n_arg(text: str) -> int:
-    try:
-        n = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if n < 2:
-        raise argparse.ArgumentTypeError(f"n must be >= 2, got {n}")
-    return n
+def _int_at_least(low: int, name: str):
+    """An argparse type: an integer >= low, named `name` in the error message."""
+
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{name} must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _range_arg(text: str) -> tuple[int, int]:
@@ -68,16 +77,6 @@ def _range_arg(text: str) -> tuple[int, int]:
     if a < 2 or b < a:
         raise argparse.ArgumentTypeError(f"need 2 <= a <= b, got {text!r}")
     return a, b
-
-
-def _budget_arg(text: str) -> int:
-    try:
-        budget = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if budget < 1:
-        raise argparse.ArgumentTypeError(f"budget must be >= 1, got {budget}")
-    return budget
 
 
 def _tol_arg(text: str) -> float:
@@ -100,11 +99,13 @@ def _pair_arg(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"expected integers: {text!r}") from None
 
 
-def _csv_cell(value) -> str:
+def _csv_cell(value, nested: bool = False) -> str:
+    """A CSV field: list items joined by ';', a list inside a list as [a, b]."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, (list, tuple)):
-        return ";".join(str(v) for v in value)
+        cells = [_csv_cell(v, nested=True) for v in value]
+        return "[" + ", ".join(cells) + "]" if nested else ";".join(cells)
     return str(value)
 
 
@@ -151,15 +152,7 @@ def _emit(blocks, fmt: str) -> None:
             writer.writerows(zip(*([_csv_cell(v) for v in block[k]] for k in header)))
 
 
-def _resolve_range(parser: _Parser, args) -> tuple[int, int]:
-    if args.target is not None and args.range is not None:
-        parser.error("give either a positional target or --range, not both")
-    if args.target is None and args.range is None:
-        parser.error("a target n, a..b, or --range a..b is required")
-    return args.target if args.target is not None else args.range
-
-
-def cmd_spectrum(parser, args) -> int:
+def cmd_spectrum(args) -> int:
     s = spectrum(args.spec)
     _emit(
         [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}])],
@@ -168,7 +161,7 @@ def cmd_spectrum(parser, args) -> int:
     return 0
 
 
-def cmd_energy(parser, args) -> int:
+def cmd_energy(args) -> int:
     e = graph_energy(args.spec)
     _emit(
         [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}])],
@@ -177,12 +170,12 @@ def cmd_energy(parser, args) -> int:
     return 0
 
 
-def cmd_report(parser, args) -> int:
+def cmd_report(args) -> int:
     _emit([_block([energy_report(args.spec).to_json_dict()])], args.format)
     return 0
 
 
-def _run_range(parser, args, check, blocks, failed, message) -> int:
+def _run_range(args, check, blocks, failed, message) -> int:
     """Check every n of the range, then emit the blocks of each n as they are made.
 
     check(n) raises for an n the verb cannot take, before any row is
@@ -190,7 +183,7 @@ def _run_range(parser, args, check, blocks, failed, message) -> int:
     lists the block's counterexamples in row order, and message(failed) is
     the stderr line that goes with exit code 2.
     """
-    lo, hi = _resolve_range(parser, args)
+    lo, hi = args.target or args.range
     for n in range(lo, hi + 1):
         check(n)
     bad = []
@@ -208,7 +201,7 @@ def _run_range(parser, args, check, blocks, failed, message) -> int:
     return 0
 
 
-def cmd_mod4_sweep(parser, args) -> int:
+def cmd_mod4_sweep(args) -> int:
     def blocks(n):
         for masks, energies, residues, predicted in mod4_blocks(n, args.budget):
             yield {
@@ -220,15 +213,13 @@ def cmd_mod4_sweep(parser, args) -> int:
             }
 
     return _run_range(
-        parser, args, lambda n: check_budget(n, args.budget), blocks,
+        args, lambda n: check_budget(n, args.budget), blocks,
         lambda block: [spec for spec, ok in zip(block["spec"], block["match"]) if not ok],
         lambda bad: f"counterexamples: {' '.join(bad)}",
     )
 
 
-def cmd_closed_form(parser, args) -> int:
-    if (args.power is None) == (args.pair is None):
-        parser.error("exactly one of --power p,gamma or --pair p,q is required")
+def cmd_closed_form(args) -> int:
     if args.power is not None:
         p, gamma = args.power
         case = closed_forms.classify_case(
@@ -247,7 +238,7 @@ def cmd_closed_form(parser, args) -> int:
     return 0
 
 
-def cmd_cross_validate(parser, args) -> int:
+def cmd_cross_validate(args) -> int:
     rows = closed_forms.cross_validate(args.n_max)
     table = [dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows]
     _emit([_block(table)], args.format)
@@ -258,7 +249,7 @@ def cmd_cross_validate(parser, args) -> int:
     return 0
 
 
-def cmd_family(parser, args) -> int:
+def cmd_family(args) -> int:
     if args.family_class == "first":
         report = families.equienergetic_family(args.n)
     else:
@@ -267,19 +258,19 @@ def cmd_family(parser, args) -> int:
     return 0
 
 
-def cmd_so_check(parser, args) -> int:
+def cmd_so_check(args) -> int:
     return _run_range(
-        parser, args, lambda n: check_budget(n, args.budget),
+        args, lambda n: check_budget(n, args.budget),
         lambda n: [_block([families.so_conjecture_check(n, args.budget).to_json_dict()])],
         lambda block: [c for c in block["collisions"] if c],
         lambda bad: "counterexamples: cospectral divisor sets found",
     )
 
 
-def cmd_min_energy(parser, args) -> int:
+def cmd_min_energy(args) -> int:
     search = families.min_energy_search
     return _run_range(
-        parser, args, lambda n: check_budget(n, args.budget),
+        args, lambda n: check_budget(n, args.budget),
         lambda n: [_block([search(n, args.connected_only, args.budget).to_json_dict()])],
         # conjecture_holds is set only when connected-only
         lambda block: [h for h in block.get("conjecture_holds", ()) if h is False],
@@ -287,10 +278,10 @@ def cmd_min_energy(parser, args) -> int:
     )
 
 
-def cmd_verify_oracle(parser, args) -> int:
+def cmd_verify_oracle(args) -> int:
     verify = oracle.verify_against_trig
     return _run_range(
-        parser, args, oracle.check_trig_n,
+        args, oracle.check_trig_n,
         lambda n: [_block([dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))])],
         lambda block: [ok for ok in block["ok"] if not ok],
         lambda bad: "counterexamples: exact and trig spectra disagree",
@@ -298,9 +289,11 @@ def cmd_verify_oracle(parser, args) -> int:
 
 
 def _add_range_target(sub, default_budget: int = DEFAULT_BUDGET):
-    sub.add_argument("target", nargs="?", type=_range_arg, help="single n or inclusive a..b")
-    sub.add_argument("--range", type=_range_arg, help="inclusive range a..b")
-    sub.add_argument("--budget", type=_budget_arg, default=default_budget,
+    # distinct dests: the empty positional would write None over a shared one
+    given = sub.add_mutually_exclusive_group(required=True)
+    given.add_argument("target", nargs="?", type=_range_arg, help="single n or inclusive a..b")
+    given.add_argument("--range", type=_range_arg, help="inclusive range a..b")
+    sub.add_argument("--budget", type=_int_at_least(1, "budget"), default=default_budget,
                      help=f"max divisor subsets per n (default {default_budget})")
 
 
@@ -333,18 +326,19 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_mod4_sweep)
 
     p = add_verb("closed-form", "closed-form energy for {1,p^gamma} or {p,q}")
-    p.add_argument("n", type=_n_arg)
-    p.add_argument("--power", type=_pair_arg, metavar="P,GAMMA",
-                   help="divisor set {1, p^gamma}")
-    p.add_argument("--pair", type=_pair_arg, metavar="P,Q", help="divisor set {p, q}")
+    p.add_argument("n", type=_int_at_least(2, "n"))
+    shape = p.add_mutually_exclusive_group(required=True)
+    shape.add_argument("--power", type=_pair_arg, metavar="P,GAMMA",
+                       help="divisor set {1, p^gamma}")
+    shape.add_argument("--pair", type=_pair_arg, metavar="P,Q", help="divisor set {p, q}")
     p.set_defaults(func=cmd_closed_form)
 
     p = add_verb("cross-validate", "closed forms vs direct energies, n <= n_max", fmt="csv")
-    p.add_argument("n_max", type=_n_arg)
+    p.add_argument("n_max", type=_int_at_least(2, "n"))
     p.set_defaults(func=cmd_cross_validate)
 
     p = add_verb("family", "equienergetic non-cospectral family at n")
-    p.add_argument("n", type=_n_arg)
+    p.add_argument("n", type=_int_at_least(2, "n"))
     p.add_argument("--class", dest="family_class", choices=("first", "second"),
                    default="first", help="which construction (default first)")
     p.set_defaults(func=cmd_family)
@@ -368,10 +362,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(parser, args)
+        return args.func(args)
     except BrokenPipeError:
         return 0
     except BudgetExceeded as e:

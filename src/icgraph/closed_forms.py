@@ -22,7 +22,9 @@ depending on how the chosen primes sit inside the factorization of n
 
 `cross_validate` re-derives every admissible instance from the exact
 spectrum and confirms the formulas match, which is how the branch table
-above was itself vetted.
+above was itself vetted.  The equienergetic families (`families`) check
+their common energy against these formulas: X_n(p, q) branch 1 for the
+first construction, branch 2 for the second.
 """
 
 from __future__ import annotations
@@ -54,27 +56,27 @@ def _multiplicity(n: int, p: int) -> int:
     return 0
 
 
-def _check_one_prime_power(n: int, p: int, gamma: int) -> int:
-    """Validate (n, p, gamma) and return alpha_p."""
+def _check_primes(n: int, primes: tuple[int, ...]) -> None:
+    """The checks both families share: n >= 4, and each prime is prime and divides n."""
     if n < 4:
         raise ValueError(f"closed forms need n >= 4, got {n}")
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    alpha = _multiplicity(n, p)
-    if alpha == 0:
-        raise ValueError(f"{p} does not divide {n}")
-    if not 1 <= gamma <= alpha:
-        raise ValueError(f"gamma={gamma} outside 1..{alpha} for p={p}, n={n}")
-    if p ** gamma == n:
-        raise ValueError(f"p^gamma = {n} is not a proper divisor of n")
-    return alpha
+    for x in primes:
+        if not is_prime(x):
+            raise ValueError(f"{x} is not prime")
+        if n % x:
+            raise ValueError(f"{x} does not divide {n}")
 
 
 def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> ClosedFormCase:
     """Resolve which theorem branch applies; exactly one always does."""
     if family is Family.ONE_AND_PRIME_POWER:
         p, gamma = parameters
-        alpha = _check_one_prime_power(n, p, gamma)
+        _check_primes(n, (p,))
+        alpha = _multiplicity(n, p)
+        if not 1 <= gamma <= alpha:
+            raise ValueError(f"gamma={gamma} outside 1..{alpha} for p={p}, n={n}")
+        if p ** gamma == n:
+            raise ValueError(f"p^gamma = {n} is not a proper divisor of n")
         if alpha == 1:
             tag = 1
         elif gamma == alpha:
@@ -84,7 +86,11 @@ def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> Closed
         return ClosedFormCase(family, tag, (n, p, gamma))
     if family is Family.TWO_PRIMES:
         p, q = parameters
-        _check_two_primes(n, p, q)
+        _check_primes(n, (p, q))
+        if p == q:
+            raise ValueError("p and q must be distinct")
+        if p > q:
+            raise ValueError(f"primes must be given in order p < q, got {p} > {q}")
         ap, aq = _multiplicity(n, p), _multiplicity(n, q)
         if ap == 1 and aq == 1:
             tag = 1
@@ -111,22 +117,6 @@ def energy_one_prime_power(n: int, p: int, gamma: int) -> int:
     if case.case_tag == 2:
         return 2 ** (k - 1) * (2 * phi_n + (p ** gamma - 2 * p + 2) * phi_npg)
     return 2 ** k * (phi_n + (p ** gamma - p + 1) * phi_npg)
-
-
-def _check_two_primes(n: int, p: int, q: int) -> None:
-    if n < 4:
-        raise ValueError(f"closed forms need n >= 4, got {n}")
-    if p == q:
-        raise ValueError("p and q must be distinct")
-    if p > q:
-        raise ValueError(f"primes must be given in order p < q, got {p} > {q}")
-    for x in (p, q):
-        if not is_prime(x):
-            raise ValueError(f"{x} is not prime")
-        if n % x:
-            raise ValueError(f"{x} does not divide {n}")
-        if x == n:
-            raise ValueError(f"{x} is not a proper divisor of n")
 
 
 def energy_two_primes(n: int, p: int, q: int) -> int:

@@ -58,7 +58,7 @@ def mod4_predicted(spec: IcgSpec) -> int:
 
 def hyperenergetic(spec: IcgSpec) -> bool:
     """True when the energy strictly exceeds that of K_n, i.e. E > 2n - 2."""
-    return energy(spec) > 2 * spec.n - 2
+    return energy_report(spec).hyperenergetic
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import divisors, euler_phi, factorize, prime_factors
+from .closed_forms import energy_two_primes
+from .energy import hyperenergetic
 from .graphs import IcgSpec, Spectrum, block_energies, cospectral_keys, spectrum
-from .sweep import DEFAULT_BUDGET, check_budget, iter_class_blocks, mask_divisors, proper_divisors
+from .sweep import DEFAULT_BUDGET, iter_class_blocks, mask_divisors, proper_divisors
 
 
 @dataclass(frozen=True)
@@ -73,8 +75,8 @@ def _family_report(n: int, members: list[IcgSpec]) -> FamilyReport:
         for j in range(i + 1, len(members)):
             if matrix[i][j]:
                 raise ArithmeticError(f"members {members[i]} and {members[j]} are cospectral")
-    e = energies[0]
-    return FamilyReport(n, tuple(members), e, matrix, all(e > 2 * m.n - 2 for m in members))
+    # the members share n and (checked above) their energy, so one answers for all
+    return FamilyReport(n, tuple(members), energies[0], matrix, hyperenergetic(members[0]))
 
 
 def equienergetic_family(n: int) -> FamilyReport:
@@ -82,8 +84,10 @@ def equienergetic_family(n: int) -> FamilyReport:
 
     All members share the energy 2^k phi(n) (k = number of distinct primes
     of n) yet no two are cospectral.  Needs at least two primes dividing n
-    exactly once; the shared energy and the non-cospectrality are recomputed
-    from the spectra on every call rather than assumed.
+    exactly once.  The shared energy and the non-cospectrality are
+    recomputed from the spectra on every call rather than assumed, and the
+    energy must equal closed_forms.energy_two_primes for the first pair
+    (branch 1 of X_n(p, q)).
     """
     single = [p for p, a in factorize(n) if a == 1]
     if len(single) < 2:
@@ -95,7 +99,7 @@ def equienergetic_family(n: int) -> FamilyReport:
         for q in single[i + 1 :]:
             members.append(IcgSpec(n, (p, q)))
     report = _family_report(n, members)
-    expected = 2 ** len(prime_factors(n)) * euler_phi(n)
+    expected = energy_two_primes(n, single[0], single[1])
     if report.common_energy != expected:
         raise ArithmeticError(
             f"family energy {report.common_energy} != 2^k*phi(n) = {expected}"
@@ -107,7 +111,9 @@ def equienergetic_family_second(n: int) -> FamilyReport:
     """ICG_n({2, q}) for every prime q with q^2 | n, on n == 2 (mod 4).
 
     All members share the energy 3 * 2^(k-1) * phi(n); needs at least two
-    qualifying primes.  Everything is verified from the spectra per call.
+    qualifying primes.  Everything is verified from the spectra per call,
+    and the energy must equal closed_forms.energy_two_primes(n, 2, q) for
+    the first q (branch 2 of X_n(p, q)).
     """
     if n % 4 != 2:
         raise ValueError(f"construction needs n == 2 (mod 4), got n={n}")
@@ -118,7 +124,7 @@ def equienergetic_family_second(n: int) -> FamilyReport:
         )
     members = [IcgSpec(n, (2, q)) for q in squared]
     report = _family_report(n, members)
-    expected = 3 * 2 ** (len(prime_factors(n)) - 1) * euler_phi(n)
+    expected = energy_two_primes(n, 2, squared[0])
     if report.common_energy != expected:
         raise ArithmeticError(
             f"family energy {report.common_energy} != 3*2^(k-1)*phi(n) = {expected}"
@@ -187,11 +193,12 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     The conjecture being probed says distinct divisor sets are never
     cospectral, so `collisions` is expected to stay empty.
     """
-    sets = check_budget(n, budget)
     divs = proper_divisors(n)
+    sets = 0
     first: dict[bytes, int] = {}  # key -> smallest mask with that spectrum
     groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key
     for masks, L in iter_class_blocks(n, budget):
+        sets += len(masks)
         for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
             owner = first.setdefault(key.tobytes(), mask)
             if owner != mask:

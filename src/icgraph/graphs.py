@@ -25,7 +25,7 @@ times what one energy_report costs at n ~ 10^6.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 from math import gcd
 from typing import TYPE_CHECKING
 
@@ -163,7 +163,6 @@ def class_index(n: int) -> np.ndarray:
     return np.searchsorted(np.array(divisors(n)), np.gcd(np.arange(n), n))
 
 
-@lru_cache(maxsize=1024)  # a row is tau(n) ints, so the cache stays small at any n
 def divisor_class_row(n: int, d: int) -> tuple[int, ...]:
     """c(e, n/d) for each divisor e of n: the class eigenvalues of ICG_n({d})."""
     m = n // d

@@ -15,7 +15,7 @@ from icgraph.arith import (
     ramanujan,
 )
 from icgraph.energy import energy_report
-from icgraph.graphs import IcgSpec, divisor_class_row
+from icgraph.graphs import IcgSpec
 
 
 def test_factorize():
@@ -152,6 +152,5 @@ def test_caches_are_bounded_and_hold_one_n():
     spec = IcgSpec(720720, (1, 2, 3, 360360))  # tau(720720) = 240
     energy_report(spec)
     misses = [f.cache_info().misses for f in caches]
-    divisor_class_row.cache_clear()  # so the second report calls into arith again
     energy_report(spec)
     assert [f.cache_info().misses for f in caches] == misses

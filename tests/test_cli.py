@@ -100,13 +100,21 @@ def test_closed_form_pair(capsys):
     assert json.loads(out)["energy"] == 64
 
 
+def assert_usage_error(capsys, argv, verb):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 1, argv
+    assert capsys.readouterr().err.startswith(f"usage: icgraph {verb} "), argv
+
+
 def test_closed_form_flag_misuse(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["closed-form", "18"])
-    assert exc.value.code == 1
-    with pytest.raises(SystemExit) as exc:
-        main(["closed-form", "18", "--power", "3,2", "--pair", "2,3"])
-    assert exc.value.code == 1
+    for argv in (["closed-form", "18"], ["closed-form", "18", "--power", "3,2", "--pair", "2,3"]):
+        assert_usage_error(capsys, argv, "closed-form")
+
+
+def test_range_target_misuse(capsys):
+    for argv in (["mod4-sweep"], ["mod4-sweep", "6", "--range", "6"]):
+        assert_usage_error(capsys, argv, "mod4-sweep")
 
 
 def test_cross_validate_csv_header(capsys):
@@ -122,6 +130,16 @@ def test_family_verbs(capsys):
     assert code == 0
     doc = json.loads(out)
     assert doc["common_energy"] == 64 and len(doc["members"]) == 4
+
+    code, out, _ = run(capsys, "family", "30", "--format", "csv")
+    assert code == 0
+    rows = out.splitlines()
+    assert rows[0] == "n,members,common_energy,pairwise_cospectral,all_hyperenergetic"
+    assert rows[1] == (
+        '30,"30:1;30:2,3;30:2,5;30:3,5",64,"[true, false, false, false];'
+        "[false, true, false, false];[false, false, true, false];"
+        '[false, false, false, true]",true'
+    )
 
     code, out, _ = run(capsys, "family", "450", "--class", "second")
     assert code == 0
@@ -141,6 +159,10 @@ def test_min_energy_verb(capsys):
     doc = json.loads(out)
     assert doc["argmin_sets"] == [[1, 3], [3]]
     assert "conjecture_value" not in doc
+
+    code, out, _ = run(capsys, "min-energy", "6", "--no-connected-only", "--format", "csv")
+    assert code == 0
+    assert out.splitlines()[1] == '6,false,6,"[1, 3];[3]"'
 
 
 def test_verify_oracle_verb(capsys):

@@ -49,26 +49,26 @@ def test_classify_case():
 
 
 def test_one_prime_power_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         energy_one_prime_power(6, 4, 1)  # not prime
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^5 does not divide 6$"):
         energy_one_prime_power(6, 5, 1)  # does not divide
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^gamma=3 outside 1\.\.2 for p=2, n=12$"):
         energy_one_prime_power(12, 2, 3)  # gamma beyond alpha
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p\^gamma = 8 is not a proper divisor of n$"):
         energy_one_prime_power(8, 2, 3)  # p^gamma = n is not proper
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^closed forms need n >= 4, got 3$"):
         energy_one_prime_power(3, 3, 1)  # below the theorem's range
 
 
 def test_two_primes_rejects():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^p and q must be distinct$"):
         energy_two_primes(12, 2, 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^primes must be given in order p < q, got 5 > 3$"):
         energy_two_primes(15, 5, 3)  # wrong order
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^2 does not divide 15$"):
         energy_two_primes(15, 2, 5)  # 2 does not divide 15
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^4 is not prime$"):
         energy_two_primes(12, 3, 4)  # 4 is not prime
 
 
