@@ -221,19 +221,12 @@ def cmd_mod4_sweep(args) -> int:
 
 def cmd_closed_form(args) -> int:
     if args.power is not None:
-        p, gamma = args.power
-        case = closed_forms.classify_case(
-            args.n, closed_forms.Family.ONE_AND_PRIME_POWER, (p, gamma)
-        )
-        value = closed_forms.energy_one_prime_power(args.n, p, gamma)
-        out = {"n": args.n, "family": case.family.value, "p": p, "gamma": gamma}
+        family, params = closed_forms.Family.ONE_AND_PRIME_POWER, args.power
     else:
-        p, q = args.pair
-        case = closed_forms.classify_case(args.n, closed_forms.Family.TWO_PRIMES, (p, q))
-        value = closed_forms.energy_two_primes(args.n, p, q)
-        out = {"n": args.n, "family": case.family.value, "p": p, "q": q}
-    out["branch"] = case.case_tag
-    out["energy"] = value
+        family, params = closed_forms.Family.TWO_PRIMES, args.pair
+    case = closed_forms.classify_case(args.n, family, params)
+    out = {"n": args.n, "family": family.value, **dict(zip(family.parameter_names, params)),
+           "branch": case.case_tag, "energy": case.energy}
     _emit([_block([out])], args.format)
     return 0
 
@@ -289,10 +282,14 @@ def cmd_verify_oracle(args) -> int:
 
 
 def _add_range_target(sub, default_budget: int = DEFAULT_BUDGET):
-    # distinct dests: the empty positional would write None over a shared one
+    # distinct dests: the empty positional would write None over a shared one.
+    # The usage line does not draw a group that mixes a positional with an
+    # option, so the help of each member says the group's rule.
     given = sub.add_mutually_exclusive_group(required=True)
-    given.add_argument("target", nargs="?", type=_range_arg, help="single n or inclusive a..b")
-    given.add_argument("--range", type=_range_arg, help="inclusive range a..b")
+    rule = "; give exactly one of target and --range"
+    given.add_argument("target", nargs="?", type=_range_arg,
+                       help="single n or inclusive a..b" + rule)
+    given.add_argument("--range", type=_range_arg, help="inclusive range a..b" + rule)
     sub.add_argument("--budget", type=_int_at_least(1, "budget"), default=default_budget,
                      help=f"max divisor subsets per n (default {default_budget})")
 

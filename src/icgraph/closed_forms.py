@@ -20,6 +20,11 @@ depending on how the chosen primes sit inside the factorization of n
     branch 4  p^2 | n, q || n:        2^(k-1) * (2 phi(n) + phi(n/p) phi(p))
     branch 5  p^2 | n, q^2 | n:       2^(k-1) * (2 phi(n) + phi(n/p) phi(p) + phi(n/q) phi(q))
 
+`classify_case` is the one place a case is decided: it validates the input,
+reads the branch from one factorization of n and returns the branch with
+its energy, computing only the totients that branch uses.
+`energy_one_prime_power` and `energy_two_primes` return that energy.
+
 `cross_validate` re-derives every admissible instance from the exact
 spectrum and confirms the formulas match, which is how the branch table
 above was itself vetted.  The equienergetic families (`families`) check
@@ -41,19 +46,18 @@ class Family(enum.Enum):
     ONE_AND_PRIME_POWER = "one-and-prime-power"
     TWO_PRIMES = "two-primes"
 
+    @property
+    def parameter_names(self) -> tuple[str, str]:
+        """Names of the two parameters, as the CLI and the CSV label them."""
+        return ("p", "gamma") if self is Family.ONE_AND_PRIME_POWER else ("p", "q")
+
 
 @dataclass(frozen=True)
 class ClosedFormCase:
     family: Family
     case_tag: int
     parameters: tuple[int, ...]
-
-
-def _multiplicity(n: int, p: int) -> int:
-    for prime, alpha in factorize(n):
-        if prime == p:
-            return alpha
-    return 0
+    energy: int
 
 
 def _check_primes(n: int, primes: tuple[int, ...]) -> None:
@@ -68,22 +72,27 @@ def _check_primes(n: int, primes: tuple[int, ...]) -> None:
 
 
 def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> ClosedFormCase:
-    """Resolve which theorem branch applies; exactly one always does."""
+    """Resolve which theorem branch applies (exactly one always does) and its energy."""
     if family is Family.ONE_AND_PRIME_POWER:
         p, gamma = parameters
         _check_primes(n, (p,))
-        alpha = _multiplicity(n, p)
+        exponents = dict(factorize(n))
+        alpha = exponents[p]
         if not 1 <= gamma <= alpha:
             raise ValueError(f"gamma={gamma} outside 1..{alpha} for p={p}, n={n}")
         if p ** gamma == n:
             raise ValueError(f"p^gamma = {n} is not a proper divisor of n")
+        k = len(exponents)
+        phi_n = euler_phi(n)
         if alpha == 1:
-            tag = 1
+            tag, value = 1, 2 ** (k - 1) * (phi_n + euler_phi(n // p))
         elif gamma == alpha:
-            tag = 2
+            phi_npg = euler_phi(n // p ** gamma)
+            tag, value = 2, 2 ** (k - 1) * (2 * phi_n + (p ** gamma - 2 * p + 2) * phi_npg)
         else:
-            tag = 3
-        return ClosedFormCase(family, tag, (n, p, gamma))
+            phi_npg = euler_phi(n // p ** gamma)
+            tag, value = 3, 2 ** k * (phi_n + (p ** gamma - p + 1) * phi_npg)
+        return ClosedFormCase(family, tag, (n, p, gamma), value)
     if family is Family.TWO_PRIMES:
         p, q = parameters
         _check_primes(n, (p, q))
@@ -91,50 +100,34 @@ def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> Closed
             raise ValueError("p and q must be distinct")
         if p > q:
             raise ValueError(f"primes must be given in order p < q, got {p} > {q}")
-        ap, aq = _multiplicity(n, p), _multiplicity(n, q)
+        exponents = dict(factorize(n))
+        ap, aq = exponents[p], exponents[q]
+        k = len(exponents)
+        phi_n = euler_phi(n)
         if ap == 1 and aq == 1:
-            tag = 1
+            tag, value = 1, 2 ** k * phi_n
         elif ap == 1 and p == 2:
-            tag = 2
+            tag, value = 2, 3 * 2 ** (k - 1) * phi_n
         elif ap == 1:
-            tag = 3
+            tag, value = 3, 2 ** (k - 1) * (2 * phi_n + euler_phi(n // q) * euler_phi(q))
         elif aq == 1:
-            tag = 4
+            tag, value = 4, 2 ** (k - 1) * (2 * phi_n + euler_phi(n // p) * euler_phi(p))
         else:
-            tag = 5
-        return ClosedFormCase(family, tag, (n, p, q))
+            tag, value = 5, 2 ** (k - 1) * (
+                2 * phi_n + euler_phi(n // p) * euler_phi(p) + euler_phi(n // q) * euler_phi(q)
+            )
+        return ClosedFormCase(family, tag, (n, p, q), value)
     raise ValueError(f"unknown family {family!r}")
 
 
 def energy_one_prime_power(n: int, p: int, gamma: int) -> int:
     """E(ICG_n({1, p^gamma})) by formula, without touching the spectrum."""
-    case = classify_case(n, Family.ONE_AND_PRIME_POWER, (p, gamma))
-    k = len(prime_factors(n))
-    phi_n = euler_phi(n)
-    if case.case_tag == 1:
-        return 2 ** (k - 1) * (phi_n + euler_phi(n // p))
-    phi_npg = euler_phi(n // p ** gamma)
-    if case.case_tag == 2:
-        return 2 ** (k - 1) * (2 * phi_n + (p ** gamma - 2 * p + 2) * phi_npg)
-    return 2 ** k * (phi_n + (p ** gamma - p + 1) * phi_npg)
+    return classify_case(n, Family.ONE_AND_PRIME_POWER, (p, gamma)).energy
 
 
 def energy_two_primes(n: int, p: int, q: int) -> int:
     """E(ICG_n({p, q})) by formula, for primes p < q dividing n."""
-    case = classify_case(n, Family.TWO_PRIMES, (p, q))
-    k = len(prime_factors(n))
-    phi_n = euler_phi(n)
-    if case.case_tag == 1:
-        return 2 ** k * phi_n
-    if case.case_tag == 2:
-        return 3 * 2 ** (k - 1) * phi_n
-    if case.case_tag == 3:
-        return 2 ** (k - 1) * (2 * phi_n + euler_phi(n // q) * euler_phi(q))
-    if case.case_tag == 4:
-        return 2 ** (k - 1) * (2 * phi_n + euler_phi(n // p) * euler_phi(p))
-    return 2 ** (k - 1) * (
-        2 * phi_n + euler_phi(n // p) * euler_phi(p) + euler_phi(n // q) * euler_phi(q)
-    )
+    return classify_case(n, Family.TWO_PRIMES, (p, q)).energy
 
 
 @dataclass(frozen=True)
@@ -151,14 +144,11 @@ class CrossValidationRow:
         return self.formula == self.direct
 
     def csv_fields(self) -> tuple:
-        if self.family is Family.ONE_AND_PRIME_POWER:
-            params = f"p={self.parameters[0]};gamma={self.parameters[1]}"
-        else:
-            params = f"p={self.parameters[0]};q={self.parameters[1]}"
+        names = self.family.parameter_names
         return (
             self.n,
             self.family.value,
-            params,
+            ";".join(f"{name}={value}" for name, value in zip(names, self.parameters)),
             self.branch,
             self.formula,
             self.direct,
@@ -193,13 +183,8 @@ def cross_validate(n_max: int) -> list[CrossValidationRow]:
     for n in range(4, n_max + 1):
         for family, params in iter_admissible(n):
             case = classify_case(n, family, params)
-            if family is Family.ONE_AND_PRIME_POWER:
-                p, gamma = params
-                formula = energy_one_prime_power(n, p, gamma)
-                direct = energy(IcgSpec(n, (1, p ** gamma)))
-            else:
-                p, q = params
-                formula = energy_two_primes(n, p, q)
-                direct = energy(IcgSpec(n, (p, q)))
-            rows.append(CrossValidationRow(n, family, params, case.case_tag, formula, direct))
+            p, x = params
+            divisor_set = (1, p ** x) if family is Family.ONE_AND_PRIME_POWER else params
+            direct = energy(IcgSpec(n, divisor_set))
+            rows.append(CrossValidationRow(n, family, params, case.case_tag, case.energy, direct))
     return rows

@@ -233,10 +233,7 @@ def adjacency(spec: IcgSpec) -> np.ndarray:
 
 def connectivity(spec: IcgSpec) -> int:
     """Number of connected components, which equals gcd of the divisor set."""
-    g = 0
-    for d in spec.divisors:
-        g = gcd(g, d)
-    return g
+    return gcd(*spec.divisors)
 
 
 def component_decomposition(spec: IcgSpec) -> tuple[int, IcgSpec]:

@@ -7,6 +7,7 @@ import pytest
 
 from icgraph import cli
 from icgraph.cli import main
+from icgraph.closed_forms import Family, classify_case, iter_admissible
 from icgraph.graphs import parse_spec
 from icgraph.sweep import subset_count
 
@@ -100,6 +101,17 @@ def test_closed_form_pair(capsys):
     assert json.loads(out)["energy"] == 64
 
 
+def test_closed_form_verb_reads_classify_case(capsys):
+    for n in range(4, 121):
+        for family, (p, x) in iter_admissible(n):
+            flag = "--power" if family is Family.ONE_AND_PRIME_POWER else "--pair"
+            code, out, _ = run(capsys, "closed-form", str(n), flag, f"{p},{x}")
+            row = json.loads(out)
+            case = classify_case(n, family, (p, x))
+            assert code == 0
+            assert (row["branch"], row["energy"]) == (case.case_tag, case.energy), (n, p, x)
+
+
 def assert_usage_error(capsys, argv, verb):
     with pytest.raises(SystemExit) as exc:
         main(argv)
@@ -115,6 +127,15 @@ def test_closed_form_flag_misuse(capsys):
 def test_range_target_misuse(capsys):
     for argv in (["mod4-sweep"], ["mod4-sweep", "6", "--range", "6"]):
         assert_usage_error(capsys, argv, "mod4-sweep")
+
+
+@pytest.mark.parametrize("verb", ["mod4-sweep", "so-check", "min-energy", "verify-oracle"])
+def test_range_help_says_exactly_one_target(capsys, verb):
+    with pytest.raises(SystemExit) as exc:
+        main([verb, "--help"])
+    assert exc.value.code == 0
+    help_text = " ".join(capsys.readouterr().out.split())  # undo argparse's line wrapping
+    assert help_text.count("give exactly one of target and --range") == 2
 
 
 def test_cross_validate_csv_header(capsys):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from icgraph import closed_forms
 from icgraph.closed_forms import (
     CSV_HEADER,
     Family,
@@ -46,6 +47,10 @@ def test_classify_case():
     assert classify_case(6, Family.ONE_AND_PRIME_POWER, (2, 1)).case_tag == 1
     assert classify_case(4, Family.ONE_AND_PRIME_POWER, (2, 1)).case_tag == 3
     assert classify_case(18, Family.ONE_AND_PRIME_POWER, (3, 2)).case_tag == 2
+    assert classify_case(36, Family.TWO_PRIMES, (2, 3)).energy == 76
+    assert classify_case(18, Family.ONE_AND_PRIME_POWER, (3, 2)).energy == 34
+    with pytest.raises(ValueError, match=r"^unknown family 'two-primes'$"):
+        classify_case(12, "two-primes", (2, 3))  # a family's value is not the family
 
 
 def test_one_prime_power_rejects():
@@ -81,6 +86,19 @@ def test_cross_validate_small():
     assert CSV_HEADER == ("n", "family", "parameters", "branch", "formula", "direct", "match")
     covered = {(r.family, r.branch) for r in rows}
     assert len(covered) == 8  # all three + five branches show up by n = 120
+
+
+def test_cross_validate_classifies_each_case_once(monkeypatch):
+    calls = []
+    classify = closed_forms.classify_case
+
+    def counting(*args):
+        calls.append(args)
+        return classify(*args)
+
+    monkeypatch.setattr(closed_forms, "classify_case", counting)
+    rows = cross_validate(60)
+    assert len(calls) == len(rows) > 0
 
 
 def test_pair_energy_choice_independence():

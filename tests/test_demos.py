@@ -1,5 +1,6 @@
-"""The narrative scripts in demos/ run to completion."""
+"""The narrative scripts in demos/ and the README's library tour run to completion."""
 
+import doctest
 import os
 import subprocess
 import sys
@@ -22,3 +23,8 @@ def test_demo_exits_zero(demo):
     proc = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
                           text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_readme_library_tour():
+    result = doctest.testfile(str(ROOT / "README.md"), module_relative=False)
+    assert result.attempted and not result.failed
