@@ -8,7 +8,9 @@ Highlights:
 * an exact formula for the second-largest |eigenvalue| of ICG_n({p_i,p_j})
   on square-free n;
 * exhaustive support for the conjecture that distinct divisor sets are
-  never cospectral;
+  never cospectral: a 64-bit spectrum fingerprint per set (8 bytes each)
+  filters the candidates, and only sets whose fingerprint repeats are
+  checked again with their exact cospectral keys;
 * exhaustive minimum-energy search with the known/conjectured extremal
   values attached (even n: minimum n, attained by the all-odd-divisors
   set, which is a complete bipartite K_{n/2,n/2}; odd n: conjectured
@@ -27,8 +29,21 @@ from fractions import Fraction
 from .arith import divisors, euler_phi, factorize, prime_factors
 from .closed_forms import energy_two_primes
 from .energy import hyperenergetic
-from .graphs import IcgSpec, Spectrum, block_energies, cospectral_keys, spectrum
-from .sweep import DEFAULT_BUDGET, iter_class_blocks, mask_divisors, proper_divisors
+from .graphs import (
+    IcgSpec,
+    Spectrum,
+    block_energies,
+    cospectral_keys,
+    spectrum,
+    spectrum_fingerprints,
+)
+from .sweep import (
+    DEFAULT_BUDGET,
+    check_budget,
+    iter_class_blocks,
+    mask_divisors,
+    proper_divisors,
+)
 
 
 @dataclass(frozen=True)
@@ -191,18 +206,34 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     """Group every divisor set of n by spectrum multiset; report any clash.
 
     The conjecture being probed says distinct divisor sets are never
-    cospectral, so `collisions` is expected to stay empty.
+    cospectral, so `collisions` is expected to stay empty.  A first pass
+    keeps one 64-bit spectrum fingerprint per set (8 bytes each) and sorts
+    them; only when a fingerprint repeats does a second pass compare the
+    exact cospectral keys of the sets whose fingerprint repeats.  Cospectral
+    sets share a fingerprint, so a fingerprint collision costs time but
+    cannot change the answer.  Each collision group lists its masks
+    ascending, and the groups are ordered by their smallest mask.
     """
-    divs = proper_divisors(n)
+    import numpy as np
+
+    fps = np.empty(check_budget(n, budget), dtype=np.uint64)
     sets = 0
+    for masks, L in iter_class_blocks(n, budget):
+        fps[sets : sets + len(masks)] = spectrum_fingerprints(L, n)
+        sets += len(masks)
+    fps.sort()
+    repeats = np.unique(fps[1:][fps[1:] == fps[:-1]])
+    del fps
     first: dict[bytes, int] = {}  # key -> smallest mask with that spectrum
     groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key
-    for masks, L in iter_class_blocks(n, budget):
-        sets += len(masks)
-        for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
-            owner = first.setdefault(key.tobytes(), mask)
-            if owner != mask:
-                groups.setdefault(owner, [owner]).append(mask)
+    if len(repeats):
+        for masks, L in iter_class_blocks(n, budget):
+            rows = np.isin(spectrum_fingerprints(L, n), repeats)
+            for mask, key in zip(masks[rows].tolist(), cospectral_keys(L[rows], n)):
+                owner = first.setdefault(key.tobytes(), mask)
+                if owner != mask:
+                    groups.setdefault(owner, [owner]).append(mask)
+    divs = proper_divisors(n)
     collisions = tuple(
         tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in groups[owner])
         for owner in sorted(groups)

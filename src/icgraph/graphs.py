@@ -10,10 +10,10 @@ are integers given by Ramanujan sums:
 Each c(k, n/d) depends on k only through gcd(k, n), so the spectrum is
 stored as tau(n) class eigenvalues lambda_e, one per divisor e of n, with
 multiplicity phi(n/e) (Klotz & Sander, Some properties of unitary Cayley
-graphs, EJC 14 (2007)).  Energy, spectral moments and the cospectral key
-are weighted sums or merges over the classes; the index-ordered view
-(lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
-expanded only when a caller asks for it.
+graphs, EJC 14 (2007)).  Energy, spectral moments, the cospectral key and
+its 64-bit fingerprint are weighted sums or merges over the classes; the
+index-ordered view (lambda_0 is the degree, lambda_{n/2} drives the mod-4
+energy rule) is expanded only when a caller asks for it.
 
 Every module of the package imports numpy inside the functions that use
 it, and the single-graph path (spectrum, energy, class lookups) uses none
@@ -197,6 +197,31 @@ def cospectral_keys(L: np.ndarray, n: int) -> np.ndarray:
     vals[pad] = 0
     counts[pad] = 0
     return np.stack([vals, counts], axis=2)
+
+
+def _mix64(z: np.ndarray) -> np.ndarray:
+    """The splitmix64 finalizer, elementwise on a uint64 array (wraps mod 2^64)."""
+    import numpy as np
+
+    z = z ^ (z >> np.uint64(30))
+    z *= np.uint64(0xBF58476D1CE4E5B9)
+    z ^= z >> np.uint64(27)
+    z *= np.uint64(0x94D049BB133111EB)
+    z ^= z >> np.uint64(31)
+    return z
+
+
+def spectrum_fingerprints(L: np.ndarray, n: int) -> np.ndarray:
+    """A uint64 hash of the spectrum multiset of each row of class eigenvalues L.
+
+    Equal cospectral_keys give equal fingerprints; the converse can fail, so
+    a fingerprint only filters candidates for cospectral_keys.  It is the sum
+    over all n eigenvalues of a 64-bit mix of each, sum phi(n/e) mix(lambda_e)
+    mod 2^64, which depends on the multiset alone.
+    """
+    import numpy as np
+
+    return _mix64(L.astype(np.uint64)) @ np.array(class_weights(n), dtype=np.uint64)
 
 
 def spectrum(spec: IcgSpec) -> Spectrum:

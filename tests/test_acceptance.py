@@ -215,10 +215,10 @@ def test_criterion_06_second_spectral_value():
 
 
 def test_criterion_07_so_conjecture():
-    """Distinct divisor sets are never cospectral for any n <= 60."""
+    """Distinct divisor sets are never cospectral for any n <= 200."""
     failures = []
     total = 0
-    for n in range(2, 61):
+    for n in range(2, 201):
         rep = so_conjecture_check(n)
         total += rep.sets
         if rep.collisions:
@@ -228,7 +228,7 @@ def test_criterion_07_so_conjecture():
     _status(
         "criterion 07 (cospectrality search)",
         failures,
-        f"{total} spectra hashed over n <= 60",
+        f"{total} spectra hashed over n <= 200",
     )
     assert not failures
 

@@ -1,7 +1,9 @@
 """Equienergetic families, cospectrality search, extremal energies."""
 
+import numpy as np
 import pytest
 
+from icgraph import families, graphs
 from icgraph.families import (
     bipartite_extremal_spectrum,
     cospectral,
@@ -12,8 +14,8 @@ from icgraph.families import (
     second_spectral_value,
     so_conjecture_check,
 )
-from icgraph.graphs import IcgSpec, spectrum
-from icgraph.sweep import BudgetExceeded
+from icgraph.graphs import IcgSpec, cospectral_keys, spectrum
+from icgraph.sweep import BudgetExceeded, mask_divisors, proper_divisors, subset_count
 
 
 def test_first_family_n30():
@@ -105,6 +107,71 @@ def test_so_check():
     with pytest.raises(BudgetExceeded):
         so_conjecture_check(48, budget=500)
     assert r.to_json_dict() == {"n": 12, "sets": 31, "collisions": []}
+
+
+def exact_so_check(n):
+    """so_conjecture_check by exact keys alone: one dict entry per divisor set."""
+    divs = proper_divisors(n)
+    sets = 0
+    first = {}  # key -> smallest mask with that spectrum
+    groups = {}  # smallest mask -> every mask sharing its key
+    for masks, L in families.iter_class_blocks(n):
+        sets += len(masks)
+        for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
+            owner = first.setdefault(key.tobytes(), mask)
+            if owner != mask:
+                groups.setdefault(owner, [owner]).append(mask)
+    collisions = tuple(
+        tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in groups[owner])
+        for owner in sorted(groups)
+    )
+    return sets, collisions
+
+
+def test_so_check_equals_exact_keys():
+    for n in range(2, 201):
+        r = so_conjecture_check(n)
+        assert (r.sets, r.collisions) == exact_so_check(n), n
+
+
+@pytest.mark.filterwarnings("error")
+def test_so_check_reports_injected_cospectral_pair(monkeypatch):
+    n, src, dst = 120, 5, 3000  # two masks in different blocks
+    sweep = families.iter_class_blocks
+
+    def copy_row(*args):
+        row = None
+        for masks, L in sweep(*args):
+            if src in masks:
+                row = L[masks == src]
+            if dst in masks:
+                L[masks == dst] = row
+            yield masks, L
+
+    monkeypatch.setattr(families, "iter_class_blocks", copy_row)
+    divs = proper_divisors(n)
+    pair = tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in (src, dst))
+    r = so_conjecture_check(n)
+    assert r.collisions == (pair,)
+    assert (r.sets, r.collisions) == exact_so_check(n)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n", [36, 60, 120])
+def test_so_check_fingerprint_is_only_a_filter(monkeypatch, n):
+    # with a constant mixer every set shares one fingerprint, so the exact
+    # keys of all of them decide the answer
+    monkeypatch.setattr(graphs, "_mix64", np.zeros_like)
+    checked = []
+
+    def counting_keys(L, n):
+        checked.append(len(L))
+        return cospectral_keys(L, n)
+
+    monkeypatch.setattr(families, "cospectral_keys", counting_keys)
+    r = so_conjecture_check(n)
+    assert (r.sets, r.collisions) == (subset_count(n), ())
+    assert sum(checked) == subset_count(n)
 
 
 def test_min_energy_examples():
