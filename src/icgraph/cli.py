@@ -26,6 +26,7 @@ import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from json.encoder import encode_basestring_ascii
 
@@ -359,6 +360,9 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
+    # every product here is an integer matmul, which numpy does without BLAS,
+    # so an OpenBLAS worker thread would only busy-wait
+    os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -222,7 +222,7 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
         fps[sets : sets + len(masks)] = spectrum_fingerprints(L, n)
         sets += len(masks)
     fps.sort()
-    repeats = np.unique(fps[1:][fps[1:] == fps[:-1]])
+    repeats = fps[1:][fps[1:] == fps[:-1]]  # sorted, with duplicates; isin needs neither
     del fps
     first: dict[bytes, int] = {}  # key -> smallest mask with that spectrum
     groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key

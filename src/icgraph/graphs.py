@@ -19,7 +19,10 @@ Every module of the package imports numpy inside the functions that use
 it, and the single-graph path (spectrum, energy, class lookups) uses none
 of them.  Importing numpy loads OpenBLAS, whose worker thread busy-waits
 after start-up: about 0.1 s of CPU on a 2-core x86 VM, over a hundred
-times what one energy_report costs at n ~ 10^6.
+times what one energy_report costs at n ~ 10^6.  Every matrix product in
+the package is an integer one, which numpy computes without BLAS, so
+cli.main pins OpenBLAS to one thread (OPENBLAS_NUM_THREADS=1, unless the
+caller set it) before any verb imports numpy.
 """
 
 from __future__ import annotations

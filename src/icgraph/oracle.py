@@ -11,9 +11,11 @@ Two consistency routes that do not share code with the Ramanujan-sum path:
   autocorrelation of the same indicator.
 
 Neither route calls a Ramanujan sum, graphs.spectrum or the divisor-class
-tables.  verify_against_trig checks the class-eigenvalue blocks that the
-sweeps themselves compute (sweep.class_block), a bounded block of divisor
-sets at a time.  The trig oracle is floating point, so comparisons carry an
+tables.  verify_against_trig checks the class eigenvalues that the sweeps
+themselves read, a bounded block of divisor sets at a time:
+sweep.class_block takes each set's low bits from the low table
+(sweep.low_table) that the sweeps slice, and adds the class_table rows of
+its high bits.  The trig oracle is floating point, so comparisons carry an
 explicit tolerance; everything else is exact integer arithmetic.
 """
 
@@ -30,6 +32,7 @@ from .sweep import (
     BLOCK,
     class_block,
     class_table,
+    low_table,
     mask_bits,
     mask_divisors,
     proper_divisors,
@@ -142,6 +145,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     exhaustive = total <= budget
     masks = np.arange(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
     table = class_table(n)
+    low = low_table(table)
 
     def name(mask) -> str:
         return IcgSpec(n, mask_divisors(int(mask), divs)).canonical()
@@ -152,7 +156,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     failures: list[str] = []
     for lo in range(0, len(masks), rows):
         part = masks[lo : lo + rows]
-        dev = np.abs(class_block(part, table)[:, index] - _trig_block(n, part))
+        dev = np.abs(class_block(part, table, low)[:, index] - _trig_block(n, part))
         cols = dev.argmax(axis=1)
         row_dev = dev[np.arange(len(cols)), cols]
         r = int(row_dev.argmax())

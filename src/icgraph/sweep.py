@@ -4,11 +4,13 @@ Desk-scale checks (mod-4 sweeps, cospectrality searches, minimum-energy
 scans) all walk every nonempty subset of the proper divisors of n.  Spectra
 are additive over divisors, and each divisor's contribution is one row of
 the tau'(n) x tau(n) table R[i, j] = c(e_j, n/d_i) (proper divisors d_i,
-divisors e_j).  So a block of subset masks, written as a 0/1 matrix of
-bits, gets the class eigenvalues of all its graphs as one product bits @ R.
-Blocks have at most BLOCK masks and start at multiples of BLOCK, so the
-masks of a block share every bit above the low LOW_BITS, and memory stays
-bounded by one block: the enumeration keeps nothing per set beyond it.
+divisors e_j).  The low table T_low, built once per n, holds the sum of the
+R rows of every combination of the first LOW_BITS divisors.  Blocks have at
+most BLOCK masks and start at multiples of BLOCK, so the masks of a block
+share every bit above the low LOW_BITS: the class eigenvalues of a block
+are a slice of T_low plus one row for the shared high bits, with no
+per-set product.  Memory stays bounded by one block: the enumeration keeps
+nothing per set beyond it.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
 refers to the i-th smallest proper divisor.
@@ -82,12 +84,38 @@ def class_table(n: int) -> np.ndarray:
     return np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
 
 
-def class_block(masks, table: np.ndarray) -> np.ndarray:
-    """Class eigenvalues of the graphs named by masks: bits @ R, one row per mask.
+def low_table(table: np.ndarray) -> np.ndarray:
+    """T_low: row m is the sum of the rows table[i] for the bits i of m.
 
-    table is class_table(n); masks is anything mask_bits accepts.
+    table is class_table(n).  The 2^min(tau'(n), LOW_BITS) rows are built in
+    as many doubling steps as there are bits.
     """
-    return mask_bits(masks, len(table)) @ table
+    import numpy as np
+
+    bits = min(len(table), LOW_BITS)
+    low = np.zeros((1 << bits, table.shape[1]), dtype=np.int64)
+    for i in range(bits):
+        low[1 << i : 2 << i] = low[: 1 << i] + table[i]
+    return low
+
+
+def class_block(masks, table: np.ndarray, low: np.ndarray) -> np.ndarray:
+    """Class eigenvalues of the graphs named by masks, one row per mask.
+
+    Row i is low[masks[i] & (BLOCK - 1)] plus the rows of table for the bits
+    of masks[i] above LOW_BITS.  table is class_table(n), low is
+    low_table(table); masks is anything mask_bits accepts.
+    """
+    import numpy as np
+
+    if isinstance(masks, np.ndarray):
+        lows, highs = masks & (BLOCK - 1), masks >> LOW_BITS
+    else:
+        lows, highs = [m & (BLOCK - 1) for m in masks], [m >> LOW_BITS for m in masks]
+    rows = low[lows]
+    if len(table) > LOW_BITS:
+        rows += mask_bits(highs, len(table) - LOW_BITS) @ table[LOW_BITS:]
+    return rows
 
 
 def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
@@ -96,15 +124,18 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     masks is an ascending int64 array of the masks in [k * BLOCK, (k + 1) * BLOCK)
     for one k (mask 0, the empty set, is left out); row i of the int64 array
     L holds the class eigenvalues (Spectrum.classes) of ICG_n(D) for
-    D = mask_divisors(masks[i], proper_divisors(n)).
+    D = mask_divisors(masks[i], proper_divisors(n)).  L is the slice of the
+    low table for the block's low bits plus class_block of the block's
+    first mask k * BLOCK, whose low bits are all zero.
     """
     import numpy as np
 
     total = check_budget(n, budget)
     table = class_table(n)
+    low = low_table(table)
     for lo in range(0, total + 1, BLOCK):
-        masks = np.arange(lo or 1, min(lo + BLOCK, total + 1))
-        yield masks, class_block(masks, table)
+        start, stop = lo or 1, min(lo + BLOCK, total + 1)
+        yield np.arange(start, stop), low[start - lo : stop - lo] + class_block([lo], table, low)
 
 
 @lru_cache(maxsize=8)

@@ -2,6 +2,10 @@
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -333,3 +337,37 @@ def test_help_exits_zero():
     with pytest.raises(SystemExit) as exc:
         main(["--help"])
     assert exc.value.code == 0
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter that imports icgraph from src; return its stdout."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    base["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+                          capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="threads are counted in /proc")
+def test_cli_pins_openblas_to_one_thread():
+    # numpy does integer matmuls without BLAS, so an OpenBLAS worker only busy-waits
+    code = (
+        "import os\n"
+        "from icgraph.cli import main\n"
+        "assert main(['so-check', '12']) == 0\n"
+        "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])\n"
+    )
+    assert run_python(code).splitlines()[-1] == "1 1"
+    assert run_python(code, OPENBLAS_NUM_THREADS="2").splitlines()[-1].split()[1] == "2"
+
+
+def test_so_check_loads_no_numpy_ma():
+    code = (
+        "import sys\n"
+        "from icgraph.cli import main\n"
+        "assert main(['so-check', '172..200']) == 0\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    run_python(code)

@@ -1,6 +1,7 @@
 """The blocked divisor-subset enumeration engine."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -8,9 +9,16 @@ import pytest
 from icgraph.arith import divisors, euler_phi
 from icgraph.graphs import IcgSpec, class_index, spectrum
 from icgraph.sweep import (
+    BLOCK,
+    DEFAULT_BUDGET,
+    LOW_BITS,
     BudgetExceeded,
     check_budget,
+    class_block,
+    class_table,
     iter_class_blocks,
+    low_table,
+    mask_bits,
     mask_divisors,
     proper_divisors,
     subset_count,
@@ -68,3 +76,35 @@ def test_gcd_table():
             components = ((L == L[:, -1:]) * weights).sum(axis=1)
             for mask, c in zip(masks.tolist(), components.tolist()):
                 assert c == math.gcd(*mask_divisors(mask, divs)), (n, mask)
+
+
+def test_class_blocks_equal_bits_times_table():
+    """Every block of every n <= 400 within the default budget equals bits @ R.
+
+    The orders cover tau'(n) below and above LOW_BITS, so blocks both without
+    and with shared high bits are checked; 2^10 is the smallest n with
+    tau'(n) = LOW_BITS exactly (tau(n) = 11 needs n = p^10).
+    """
+    widths = set()
+    for n in [*range(2, 401), 2**10]:
+        if subset_count(n) > DEFAULT_BUDGET:
+            continue
+        table = class_table(n)
+        widths.add(len(table))
+        for masks, L in iter_class_blocks(n):
+            assert np.array_equal(L, mask_bits(masks, len(table)) @ table), (n, masks[0])
+    assert min(widths) < LOW_BITS < max(widths) and LOW_BITS in widths
+
+
+@pytest.mark.parametrize("n", [5040, 720720])
+def test_class_block_on_sampled_masks_equals_bits_times_table(n):
+    """Sampled masks share no high bits; at n = 720720 (tau' = 239) they are Python ints."""
+    table = class_table(n)
+    rng = random.Random(n)
+    edges = [1, BLOCK - 1, BLOCK, BLOCK + 1, (1 << len(table)) - 1]
+    masks = sorted(edges + [rng.getrandbits(len(table)) or 1 for _ in range(200)])
+    want = mask_bits(masks, len(table)) @ table
+    got = class_block(masks, table, low_table(table))
+    assert np.array_equal(got, want)
+    if len(table) < 63:
+        assert np.array_equal(class_block(np.array(masks), table, low_table(table)), want)
