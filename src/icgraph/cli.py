@@ -371,8 +371,8 @@ def main(argv=None) -> int:
     except BudgetExceeded as e:
         print(f"icgraph: error: {e}", file=sys.stderr)
         return 3
-    except ValueError as e:
-        print(f"icgraph: error: {e}", file=sys.stderr)
+    except (ValueError, MemoryError) as e:
+        print(f"icgraph: error: {str(e) or 'out of memory'}", file=sys.stderr)
         return 1
 
 

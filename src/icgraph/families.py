@@ -29,14 +29,7 @@ from fractions import Fraction
 from .arith import divisors, euler_phi, factorize, prime_factors
 from .closed_forms import energy_two_primes
 from .energy import hyperenergetic
-from .graphs import (
-    IcgSpec,
-    Spectrum,
-    block_energies,
-    cospectral_keys,
-    spectrum,
-    spectrum_fingerprints,
-)
+from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_fingerprints
 from .sweep import (
     DEFAULT_BUDGET,
     check_budget,
@@ -73,12 +66,14 @@ def cospectral(a: IcgSpec, b: IcgSpec) -> bool:
     return spectrum(a).cospectral_key() == spectrum(b).cospectral_key()
 
 
-def _family_report(n: int, members: list[IcgSpec]) -> FamilyReport:
+def _family_report(n: int, members: list[IcgSpec], expected: int) -> FamilyReport:
+    """Check from the spectra that every member has energy `expected` and that
+    no two members are cospectral; raise ArithmeticError otherwise."""
     spectra = [spectrum(m) for m in members]
     energies = [s.energy() for s in spectra]
-    if len(set(energies)) != 1:
+    if set(energies) != {expected}:
         raise ArithmeticError(
-            "family members disagree on energy: "
+            f"family energies differ from the closed form {expected}: "
             + ", ".join(f"{m}={e}" for m, e in zip(members, energies))
         )
     keys = [s.cospectral_key() for s in spectra]
@@ -91,7 +86,7 @@ def _family_report(n: int, members: list[IcgSpec]) -> FamilyReport:
             if matrix[i][j]:
                 raise ArithmeticError(f"members {members[i]} and {members[j]} are cospectral")
     # the members share n and (checked above) their energy, so one answers for all
-    return FamilyReport(n, tuple(members), energies[0], matrix, hyperenergetic(members[0]))
+    return FamilyReport(n, tuple(members), expected, matrix, hyperenergetic(members[0]))
 
 
 def equienergetic_family(n: int) -> FamilyReport:
@@ -113,13 +108,7 @@ def equienergetic_family(n: int) -> FamilyReport:
     for i, p in enumerate(single):
         for q in single[i + 1 :]:
             members.append(IcgSpec(n, (p, q)))
-    report = _family_report(n, members)
-    expected = energy_two_primes(n, single[0], single[1])
-    if report.common_energy != expected:
-        raise ArithmeticError(
-            f"family energy {report.common_energy} != 2^k*phi(n) = {expected}"
-        )
-    return report
+    return _family_report(n, members, energy_two_primes(n, single[0], single[1]))
 
 
 def equienergetic_family_second(n: int) -> FamilyReport:
@@ -138,13 +127,7 @@ def equienergetic_family_second(n: int) -> FamilyReport:
             f"n={n} has {len(squared)} odd prime(s) with square dividing it; need at least 2"
         )
     members = [IcgSpec(n, (2, q)) for q in squared]
-    report = _family_report(n, members)
-    expected = energy_two_primes(n, 2, squared[0])
-    if report.common_energy != expected:
-        raise ArithmeticError(
-            f"family energy {report.common_energy} != 3*2^(k-1)*phi(n) = {expected}"
-        )
-    return report
+    return _family_report(n, members, energy_two_primes(n, 2, squared[0]))
 
 
 def second_spectral_value(n: int, p_i: int, p_j: int) -> int:
@@ -224,13 +207,13 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     fps.sort()
     repeats = fps[1:][fps[1:] == fps[:-1]]  # sorted, with duplicates; isin needs neither
     del fps
-    first: dict[bytes, int] = {}  # key -> smallest mask with that spectrum
+    first: dict[tuple, int] = {}  # key -> smallest mask with that spectrum
     groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key
     if len(repeats):
         for masks, L in iter_class_blocks(n, budget):
             rows = np.isin(spectrum_fingerprints(L, n), repeats)
-            for mask, key in zip(masks[rows].tolist(), cospectral_keys(L[rows], n)):
-                owner = first.setdefault(key.tobytes(), mask)
+            for mask, row in zip(masks[rows].tolist(), L[rows].tolist()):
+                owner = first.setdefault(Spectrum(n, tuple(row)).cospectral_key(), mask)
                 if owner != mask:
                     groups.setdefault(owner, [owner]).append(mask)
     divs = proper_divisors(n)

@@ -16,10 +16,12 @@ index-ordered view (lambda_0 is the degree, lambda_{n/2} drives the mod-4
 energy rule) is expanded only when a caller asks for it.
 
 Every module of the package imports numpy inside the functions that use
-it, and the single-graph path (spectrum, energy, class lookups) uses none
-of them.  Importing numpy loads OpenBLAS, whose worker thread busy-waits
-after start-up: about 0.1 s of CPU on a 2-core x86 VM, over a hundred
-times what one energy_report costs at n ~ 10^6.  Every matrix product in
+it, and the single-graph path uses none of them: spectrum, energy, moments,
+class lookups, the cospectral key and sorted_values, cospectral, the two
+equienergetic family constructions and the CLI's family verb.  Importing
+numpy loads OpenBLAS, whose worker thread busy-waits after start-up: about
+0.1 s of CPU on a 2-core x86 VM, over a hundred times what one
+energy_report costs at n ~ 10^6.  Every matrix product in
 the package is an integer one, which numpy computes without BLAS, so
 cli.main pins OpenBLAS to one thread (OPENBLAS_NUM_THREADS=1, unless the
 caller set it) before any verb imports numpy.
@@ -143,11 +145,15 @@ class Spectrum:
         return sum(m * v**p for v, m in zip(self.classes, self.multiplicities))
 
     def cospectral_key(self) -> tuple[tuple[int, int], ...]:
-        """Distinct eigenvalues, ascending, each with its total multiplicity."""
-        import numpy as np
+        """Distinct eigenvalues, ascending, each with its total multiplicity.
 
-        key = cospectral_keys(np.array([self.classes], dtype=np.int64), self.n)[0]
-        return tuple((v, m) for v, m in key.tolist() if m)
+        Classes with equal values merge into one pair, so two graphs of one
+        order are cospectral exactly when their keys are equal.
+        """
+        counts: dict[int, int] = {}
+        for v, m in zip(self.classes, self.multiplicities):
+            counts[v] = counts.get(v, 0) + m
+        return tuple(sorted(counts.items()))
 
     def sorted_values(self) -> tuple[int, ...]:
         """Eigenvalues as a sorted tuple; the multiset key for cospectrality."""
@@ -179,29 +185,6 @@ def block_energies(L: np.ndarray, n: int) -> np.ndarray:
     return np.abs(L) @ np.array(class_weights(n), dtype=np.int64)
 
 
-def cospectral_keys(L: np.ndarray, n: int) -> np.ndarray:
-    """Spectrum multiset of each row of class eigenvalues L, as (value, count) pairs.
-
-    Row i of the result holds the distinct eigenvalues of row i ascending,
-    each with its total multiplicity, padded with (0, 0) pairs to tau(n)
-    pairs; two rows are cospectral exactly when their keys are equal.
-    """
-    import numpy as np
-
-    order = np.argsort(L, axis=1, kind="stable")
-    vals = np.take_along_axis(L, order, axis=1)
-    upto = np.cumsum(np.array(class_weights(n), dtype=np.int64)[order], axis=1)
-    last = np.ones(vals.shape, dtype=bool)  # last entry of each run of equal values
-    last[:, :-1] = vals[:, 1:] != vals[:, :-1]
-    first = np.argsort(~last, axis=1, kind="stable")  # run ends first, in order
-    vals = np.take_along_axis(vals, first, axis=1)
-    counts = np.diff(np.take_along_axis(upto, first, axis=1), axis=1, prepend=0)
-    pad = ~np.take_along_axis(last, first, axis=1)
-    vals[pad] = 0
-    counts[pad] = 0
-    return np.stack([vals, counts], axis=2)
-
-
 def _mix64(z: np.ndarray) -> np.ndarray:
     """The splitmix64 finalizer, elementwise on a uint64 array (wraps mod 2^64)."""
     import numpy as np
@@ -217,10 +200,10 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def spectrum_fingerprints(L: np.ndarray, n: int) -> np.ndarray:
     """A uint64 hash of the spectrum multiset of each row of class eigenvalues L.
 
-    Equal cospectral_keys give equal fingerprints; the converse can fail, so
-    a fingerprint only filters candidates for cospectral_keys.  It is the sum
-    over all n eigenvalues of a 64-bit mix of each, sum phi(n/e) mix(lambda_e)
-    mod 2^64, which depends on the multiset alone.
+    Rows with equal Spectrum.cospectral_key give equal fingerprints; the
+    converse can fail, so a fingerprint only filters candidates for the exact
+    key.  It is the sum over all n eigenvalues of a 64-bit mix of each,
+    sum phi(n/e) mix(lambda_e) mod 2^64, which depends on the multiset alone.
     """
     import numpy as np
 

@@ -140,13 +140,10 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
 
 @lru_cache(maxsize=8)
 def _low_texts(divs: tuple[int, ...]) -> tuple[str, ...]:
-    """The text d1,d2,... of the divisors each mask selects, by mask (entry 0 is "")."""
-    texts = [""] * (1 << len(divs))
-    for mask in range(1, len(texts)):
-        low = mask & -mask
-        rest = texts[mask ^ low]
-        d = str(divs[low.bit_length() - 1])
-        texts[mask] = f"{d},{rest}" if rest else d
+    """The text d1,d2,... of the divisors each mask selects, by mask; built like low_table."""
+    texts = [""]
+    for d in map(str, divs):
+        texts += [f"{t},{d}" if t else d for t in texts]
     return tuple(texts)
 
 

@@ -18,9 +18,9 @@ from icgraph.energy import energy, energy_report, lambda_half, mod4_blocks
 from icgraph.families import min_energy_search, so_conjecture_check
 from icgraph.graphs import (
     IcgSpec,
+    Spectrum,
     class_index,
     component_decomposition,
-    cospectral_keys,
     degree,
     spectrum,
 )
@@ -136,10 +136,11 @@ def test_block_sweeps_equal_per_set_reference():
             assert (report.min_energy, report.argmin_sets) == (best, tuple(argmin)), n
 
 
-def test_cospectral_keys_merge_classes_with_equal_values():
+def test_cospectral_key_merges_classes_with_equal_values():
     # n = 12: the class weights phi(12/e) are 4, 2, 2, 2, 1, 1 for e = 1, 2, 3, 4, 6, 12
-    a, b = cospectral_keys(np.array([[0, 1, 1, 2, 3, 4], [1, 0, 0, 2, 3, 4]]), 12)
-    assert a.tolist() == b.tolist() == [[0, 4], [1, 4], [2, 2], [3, 1], [4, 1], [0, 0]]
+    a = Spectrum(12, (0, 1, 1, 2, 3, 4)).cospectral_key()
+    b = Spectrum(12, (1, 0, 0, 2, 3, 4)).cospectral_key()
+    assert a == b == ((0, 4), (1, 4), (2, 2), (3, 1), (4, 1))
 
 
 def test_cospectral_grouping_equals_sorted_vector_grouping():
@@ -154,10 +155,11 @@ def test_cospectral_grouping_equals_sorted_vector_grouping():
         by_key = {}
         key_owner = {}
         for masks, L in iter_class_blocks(n):
-            for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
-                key_owner[mask] = by_key.setdefault(key.tobytes(), mask)
+            for mask, row in zip(masks.tolist(), L.tolist()):
+                key = Spectrum(n, tuple(row)).cospectral_key()
+                key_owner[mask] = by_key.setdefault(key, mask)
                 # the key expands to the sorted index-order spectrum
-                expanded = np.repeat(key[:, 0], key[:, 1]).tobytes()
+                expanded = np.repeat(*np.array(key).T).tobytes()
                 assert by_vector[expanded] == ref_owner[mask], (n, mask)
         assert key_owner == ref_owner
         groups = {}

@@ -269,6 +269,19 @@ def test_range_that_fails_late_writes_no_row(capsys, argv, code, message):
     assert run(capsys, *argv) == (code, "", f"icgraph: error: {message}\n")
 
 
+def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
+    # 2^59 - 1 fingerprints of 8 bytes each: 4 EiB, which no allocator can grant
+    code, out, err = run(capsys, "so-check", "5040", "--budget", str(2**62))
+    assert (code, out) == (1, "")
+    assert err.startswith("icgraph: error: ") and err.count("\n") == 1, err
+
+    def no_memory(*args):
+        raise MemoryError  # as Python raises it, without a message
+
+    monkeypatch.setattr(cli.families, "so_conjecture_check", no_memory)
+    assert run(capsys, "so-check", "12") == (1, "", "icgraph: error: out of memory\n")
+
+
 @pytest.mark.parametrize(
     "argv, digest",
     [

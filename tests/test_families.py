@@ -14,7 +14,7 @@ from icgraph.families import (
     second_spectral_value,
     so_conjecture_check,
 )
-from icgraph.graphs import IcgSpec, cospectral_keys, spectrum
+from icgraph.graphs import IcgSpec, class_index, spectrum
 from icgraph.sweep import BudgetExceeded, mask_divisors, proper_divisors, subset_count
 
 
@@ -60,6 +60,16 @@ def test_second_family_another_instance():
     r = equienergetic_family_second(882)  # 2 * 3^2 * 7^2
     assert r.common_energy == 3024
     assert len(r.members) == 2
+
+
+def test_families_reject_a_wrong_closed_form(monkeypatch):
+    # the shared energy is recomputed from the spectra, so a closed form that
+    # disagrees with it must stop both constructions
+    monkeypatch.setattr(families, "energy_two_primes", lambda *args: 2)
+    with pytest.raises(ArithmeticError):
+        equienergetic_family(30)
+    with pytest.raises(ArithmeticError):
+        equienergetic_family_second(450)
 
 
 def test_second_spectral_value_anchors():
@@ -110,15 +120,15 @@ def test_so_check():
 
 
 def exact_so_check(n):
-    """so_conjecture_check by exact keys alone: one dict entry per divisor set."""
+    """so_conjecture_check by sorted index-order spectra: one dict entry per divisor set."""
     divs = proper_divisors(n)
     sets = 0
-    first = {}  # key -> smallest mask with that spectrum
-    groups = {}  # smallest mask -> every mask sharing its key
+    first = {}  # sorted spectrum -> smallest mask with that spectrum
+    groups = {}  # smallest mask -> every mask sharing its spectrum
     for masks, L in families.iter_class_blocks(n):
         sets += len(masks)
-        for mask, key in zip(masks.tolist(), cospectral_keys(L, n)):
-            owner = first.setdefault(key.tobytes(), mask)
+        for mask, vec in zip(masks.tolist(), np.sort(L[:, class_index(n)], axis=1)):
+            owner = first.setdefault(vec.tobytes(), mask)
             if owner != mask:
                 groups.setdefault(owner, [owner]).append(mask)
     collisions = tuple(
@@ -163,15 +173,16 @@ def test_so_check_fingerprint_is_only_a_filter(monkeypatch, n):
     # keys of all of them decide the answer
     monkeypatch.setattr(graphs, "_mix64", np.zeros_like)
     checked = []
+    key = graphs.Spectrum.cospectral_key
 
-    def counting_keys(L, n):
-        checked.append(len(L))
-        return cospectral_keys(L, n)
+    def counting_key(self):
+        checked.append(self.classes)
+        return key(self)
 
-    monkeypatch.setattr(families, "cospectral_keys", counting_keys)
+    monkeypatch.setattr(graphs.Spectrum, "cospectral_key", counting_key)
     r = so_conjecture_check(n)
     assert (r.sets, r.collisions) == (subset_count(n), ())
-    assert sum(checked) == subset_count(n)
+    assert len(checked) == subset_count(n)
 
 
 def test_min_energy_examples():

@@ -161,13 +161,20 @@ def test_single_graph_path_does_not_load_numpy():
     # query needs no arrays, so it must not pay for that.
     code = (
         "import sys\n"
-        "from icgraph import IcgSpec, closed_forms, energy_report, spectrum\n"
+        "from icgraph import (IcgSpec, closed_forms, cospectral, energy_report,\n"
+        "    equienergetic_family, equienergetic_family_second, spectrum)\n"
         "import icgraph.cli\n"
         "icgraph.cli.build_parser()\n"
         "spec = IcgSpec(2 * 3 * 5 * 7 * 11 * 13, (1, 7))\n"
         "assert energy_report(spec).energy == spectrum(spec).energy() > 0\n"
         "assert spectrum(spec).moment(1) == 0\n"
         "closed_forms.energy_two_primes(30030, 7, 11)\n"
+        "assert not cospectral(spec, IcgSpec(30030, (1, 11)))\n"
+        "values = spectrum(spec).sorted_values()\n"
+        "assert len(values) == spec.n and values[-1] == spectrum(spec).at(spec.n)\n"
+        "equienergetic_family(30)\n"
+        "equienergetic_family_second(450)\n"
+        "assert icgraph.cli.main(['family', '30']) == 0\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
