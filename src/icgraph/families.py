@@ -67,8 +67,11 @@ def cospectral(a: IcgSpec, b: IcgSpec) -> bool:
 
 
 def _family_report(n: int, members: list[IcgSpec], expected: int) -> FamilyReport:
-    """Check from the spectra that every member has energy `expected` and that
-    no two members are cospectral; raise ArithmeticError otherwise."""
+    """The FamilyReport of members, checked from their spectra.
+
+    Raises ArithmeticError unless every member has energy `expected` (the
+    closed form) and no two members are cospectral.
+    """
     spectra = [spectrum(m) for m in members]
     energies = [s.energy() for s in spectra]
     if set(energies) != {expected}:
