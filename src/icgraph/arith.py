@@ -44,10 +44,7 @@ def factorize(n: int) -> tuple[tuple[int, int], ...]:
             while m % d == 0:
                 e += 1
                 m //= d
-        else:
-            d += 1 if d == 2 else 2
-            continue
-        factors.append((d, e))
+            factors.append((d, e))
         d += 1 if d == 2 else 2
     if m > 1:
         factors.append((m, 1))

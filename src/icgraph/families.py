@@ -15,7 +15,8 @@ Highlights:
   values attached (even n: minimum n, attained by the all-odd-divisors
   set, which is a complete bipartite K_{n/2,n/2}; odd n: conjectured
   minimum 2n(1 - 1/p) for the smallest prime p, attained by the divisors
-  coprime to p), with connectivity read from each graph's degree class.
+  coprime to p); connectivity is gcd(D) = 1, read from each set's mask
+  with one bitmask per prime of n.
 
 All searches run over every nonempty divisor subset (within the sweep
 budget) and are deterministic.
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
 from .closed_forms import energy_two_primes
@@ -80,14 +82,10 @@ def _family_report(n: int, members: list[IcgSpec], expected: int) -> FamilyRepor
             + ", ".join(f"{m}={e}" for m, e in zip(members, energies))
         )
     keys = [s.cospectral_key() for s in spectra]
-    matrix = tuple(
-        tuple(keys[i] == keys[j] for j in range(len(members)))
-        for i in range(len(members))
-    )
-    for i in range(len(members)):
-        for j in range(i + 1, len(members)):
-            if matrix[i][j]:
-                raise ArithmeticError(f"members {members[i]} and {members[j]} are cospectral")
+    for (a, key_a), (b, key_b) in combinations(zip(members, keys), 2):
+        if key_a == key_b:
+            raise ArithmeticError(f"members {a} and {b} are cospectral")
+    matrix = tuple(tuple(k == other for other in keys) for k in keys)
     # the members share n and (checked above) their energy, so one answers for all
     return FamilyReport(n, tuple(members), expected, matrix, hyperenergetic(members[0]))
 
@@ -107,10 +105,7 @@ def equienergetic_family(n: int) -> FamilyReport:
         raise ValueError(
             f"n={n} has {len(single)} prime(s) dividing it exactly once; need at least 2"
         )
-    members = [IcgSpec(n, (1,))]
-    for i, p in enumerate(single):
-        for q in single[i + 1 :]:
-            members.append(IcgSpec(n, (p, q)))
+    members = [IcgSpec(n, (1,))] + [IcgSpec(n, pq) for pq in combinations(single, 2)]
     return _family_report(n, members, energy_two_primes(n, single[0], single[1]))
 
 
@@ -202,27 +197,23 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     """
     import numpy as np
 
-    fps = np.empty(check_budget(n, budget), dtype=np.uint64)
-    sets = 0
+    sets = check_budget(n, budget)
+    fps = np.empty(sets, dtype=np.uint64)
     for masks, L in iter_class_blocks(n, budget):
-        fps[sets : sets + len(masks)] = spectrum_fingerprints(L, n)
-        sets += len(masks)
+        fps[masks[0] - 1 : masks[-1]] = spectrum_fingerprints(L, n)
     fps.sort()
     repeats = fps[1:][fps[1:] == fps[:-1]]  # sorted, with duplicates; isin needs neither
     del fps
-    first: dict[tuple, int] = {}  # key -> smallest mask with that spectrum
-    groups: dict[int, list[int]] = {}  # smallest mask -> every mask sharing its key
+    groups: dict[tuple, list[int]] = {}  # exact key -> its masks, ascending
     if len(repeats):
         for masks, L in iter_class_blocks(n, budget):
             rows = np.isin(spectrum_fingerprints(L, n), repeats)
             for mask, row in zip(masks[rows].tolist(), L[rows].tolist()):
-                owner = first.setdefault(Spectrum(n, tuple(row)).cospectral_key(), mask)
-                if owner != mask:
-                    groups.setdefault(owner, [owner]).append(mask)
+                groups.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
     divs = proper_divisors(n)
     collisions = tuple(
-        tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in groups[owner])
-        for owner in sorted(groups)
+        tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in group)
+        for group in sorted(g for g in groups.values() if len(g) > 1)
     )
     return SoReport(n, sets, collisions)
 
@@ -272,21 +263,23 @@ def min_energy_search(
     compete, and the report carries the predicted minimum for comparison: n
     itself for even n, 2n(1 - 1/p) for odd n with smallest prime p.
 
-    Connectivity is read from the class eigenvalues: a regular graph has as
-    many components as its degree has multiplicity, and the degree is the
-    last class (e = n, weight phi(1) = 1), so D is connected exactly when no
-    other class equals it.
+    Connectivity is the rule of graphs.connectivity, gcd(D) = 1, tested on
+    the masks: gcd(D) = 1 exactly when, for every prime p of n, some divisor
+    in D is prime to p, i.e. the mask meets the bitmask of the proper
+    divisors prime to p.
     """
     divs = proper_divisors(n)
+    prime_to = [sum(1 << i for i, d in enumerate(divs) if d % p) for p in prime_factors(n)]
     best = None
     argmin: list[int] = []
     for masks, L in iter_class_blocks(n, budget):
         energies = block_energies(L, n)
         if connected_only:
-            keep = (L[:, :-1] != L[:, -1:]).all(axis=1)
+            keep = masks & prime_to[0] != 0
+            for bits in prime_to[1:]:
+                keep &= masks & bits != 0
             masks, energies = masks[keep], energies[keep]
-        if not len(masks):
-            continue
+        # never empty: each block holds an odd mask, and divisor 1 is prime to every p
         low = int(energies.min())
         if best is None or low < best:
             best, argmin = low, []

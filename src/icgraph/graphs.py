@@ -30,11 +30,11 @@ caller set it) before any verb imports numpy.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import divisors, euler_phi, ramanujan
+from .arith import CACHE_SIZE, divisors, euler_phi, ramanujan
 
 if TYPE_CHECKING:
     import numpy as np
@@ -160,6 +160,7 @@ class Spectrum:
         return tuple(v for v, m in self.cospectral_key() for _ in range(m))
 
 
+@lru_cache(maxsize=CACHE_SIZE)
 def class_weights(n: int) -> tuple[int, ...]:
     """phi(n/e) for each divisor e of n, in the order of divisors(n)."""
     return tuple(euler_phi(n // e) for e in divisors(n))

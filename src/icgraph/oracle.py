@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from math import sqrt
 from typing import TYPE_CHECKING
 
-from .graphs import IcgSpec, Spectrum, class_index, spectrum
+from .graphs import IcgSpec, class_index, spectrum
 from .sweep import (
     BLOCK,
     class_block,
@@ -97,7 +97,7 @@ def compare_spectra(exact, approx, tol: float = 1e-6) -> SpectrumComparison:
     """Componentwise comparison of an integer spectrum against a float one."""
     import numpy as np
 
-    values = exact.values if isinstance(exact, Spectrum) else tuple(exact)
+    values = tuple(exact)
     if len(values) != len(approx):
         raise ValueError(f"length mismatch: {len(values)} vs {len(approx)}")
     dev = np.abs(np.asarray(values, dtype=np.float64) - np.asarray(approx))

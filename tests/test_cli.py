@@ -11,7 +11,7 @@ import pytest
 
 from icgraph import cli
 from icgraph.cli import main
-from icgraph.closed_forms import Family, classify_case, iter_admissible
+from icgraph.closed_forms import CrossValidationRow, Family, classify_case, iter_admissible
 from icgraph.graphs import parse_spec
 from icgraph.sweep import subset_count
 
@@ -150,6 +150,15 @@ def test_cross_validate_csv_header(capsys):
     assert all(line.endswith(",true") for line in lines[1:])
 
 
+def test_cross_validate_errors(capsys, monkeypatch):
+    assert run(capsys, "cross-validate", "3") == (1, "", "icgraph: error: need n_max >= 4, got 3\n")
+    wrong = CrossValidationRow(4, Family.ONE_AND_PRIME_POWER, (2, 1), 1, 5, 4)
+    monkeypatch.setattr(cli.closed_forms, "cross_validate", lambda n_max: [wrong])
+    code, out, err = run(capsys, "cross-validate", "4")
+    assert (code, err) == (2, "counterexamples: 1 formula/direct mismatches\n")
+    assert out.splitlines()[1].endswith(",5,4,false")
+
+
 def test_family_verbs(capsys):
     code, out, _ = run(capsys, "family", "30")
     assert code == 0
@@ -200,6 +209,10 @@ def test_verify_oracle_verb(capsys):
     assert 0 <= doc["worst_index"] < 12
 
 
+def test_verify_oracle_tol(capsys):
+    assert run(capsys, "verify-oracle", "12", "--tol", "0.5") == run(capsys, "verify-oracle", "12")
+
+
 def test_verify_oracle_samples_masks_of_64_or_more_bits(capsys):
     # 10080 has 71 proper divisors, so a mask needs 71 bits
     code, out, _ = run(capsys, "verify-oracle", "10080", "--budget", "8")
@@ -222,6 +235,9 @@ def test_usage_errors_exit_1():
         ["spectrum", "6:6"],  # not a proper divisor
         ["spectrum", "nonsense"],
         ["mod4-sweep", "9..3"],
+        ["mod4-sweep", "a..b"],  # not integers
+        ["closed-form", "12", "--pair", "2"],  # one integer, not two
+        ["closed-form", "12", "--pair", "a,b"],
         ["mod4-sweep"],  # no range given at all
         ["no-such-verb"],
     ):
@@ -352,12 +368,17 @@ def test_help_exits_zero():
     assert exc.value.code == 0
 
 
-def run_python(code, **env):
-    """Run code in a fresh interpreter that imports icgraph from src; return its stdout."""
+def src_env():
+    """The environment without OPENBLAS_NUM_THREADS, with src first on PYTHONPATH."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
     base["PYTHONPATH"] = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", code], env={**base, **env},
+    return base
+
+
+def run_python(code, **env):
+    """Run code in a fresh interpreter that imports icgraph from src; return its stdout."""
+    proc = subprocess.run([sys.executable, "-c", code], env={**src_env(), **env},
                           capture_output=True, text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
     return proc.stdout
@@ -374,6 +395,18 @@ def test_cli_pins_openblas_to_one_thread():
     )
     assert run_python(code).splitlines()[-1] == "1 1"
     assert run_python(code, OPENBLAS_NUM_THREADS="2").splitlines()[-1].split()[1] == "2"
+
+
+def test_closed_stdout_ends_the_sweep_quietly():
+    # a reader that stops after one line, like `| head -1`
+    argv = [sys.executable, "-m", "icgraph", "mod4-sweep", "2..300"]
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=src_env()) as proc:
+        assert proc.stdout.readline().startswith(b'{"spec":"2:1",')
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=60)
+    assert (code, err) == (0, b"")
 
 
 def test_so_check_loads_no_numpy_ma():

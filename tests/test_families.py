@@ -1,5 +1,7 @@
 """Equienergetic families, cospectrality search, extremal energies."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,14 @@ def test_families_reject_a_wrong_closed_form(monkeypatch):
     with pytest.raises(ArithmeticError):
         equienergetic_family(30)
     with pytest.raises(ArithmeticError):
+        equienergetic_family_second(450)
+
+
+def test_families_reject_a_cospectral_member(monkeypatch):
+    monkeypatch.setattr(graphs.Spectrum, "cospectral_key", lambda self: ())
+    with pytest.raises(ArithmeticError, match="^members 30:1 and 30:2,3 are cospectral$"):
+        equienergetic_family(30)
+    with pytest.raises(ArithmeticError, match="^members 450:2,3 and 450:2,5 are cospectral$"):
         equienergetic_family_second(450)
 
 
@@ -144,25 +154,43 @@ def test_so_check_equals_exact_keys():
         assert (r.sets, r.collisions) == exact_so_check(n), n
 
 
+def inject_copies(monkeypatch, copies):
+    """Make families.iter_class_blocks give each mask dst the row of mask copies[dst] < dst."""
+    sweep = families.iter_class_blocks
+
+    def copy_rows(*args):
+        rows = {}
+        for masks, L in sweep(*args):
+            for mask, row in zip(masks.tolist(), L):
+                if mask in copies:
+                    row[:] = rows[copies[mask]]
+                rows[mask] = row
+            yield masks, L
+
+    monkeypatch.setattr(families, "iter_class_blocks", copy_rows)
+
+
+def names(n, masks):
+    divs = proper_divisors(n)
+    return tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in masks)
+
+
 @pytest.mark.filterwarnings("error")
 def test_so_check_reports_injected_cospectral_pair(monkeypatch):
     n, src, dst = 120, 5, 3000  # two masks in different blocks
-    sweep = families.iter_class_blocks
-
-    def copy_row(*args):
-        row = None
-        for masks, L in sweep(*args):
-            if src in masks:
-                row = L[masks == src]
-            if dst in masks:
-                L[masks == dst] = row
-            yield masks, L
-
-    monkeypatch.setattr(families, "iter_class_blocks", copy_row)
-    divs = proper_divisors(n)
-    pair = tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in (src, dst))
+    inject_copies(monkeypatch, {dst: src})
     r = so_conjecture_check(n)
-    assert r.collisions == (pair,)
+    assert r.collisions == (names(n, (src, dst)),)
+    assert (r.sets, r.collisions) == exact_so_check(n)
+
+
+@pytest.mark.filterwarnings("error")
+def test_so_check_orders_several_groups(monkeypatch):
+    # group (3, 2000, 30000) starts first; group (5, 1000) ends first
+    n = 120
+    inject_copies(monkeypatch, {2000: 3, 30000: 3, 1000: 5})
+    r = so_conjecture_check(n)
+    assert r.collisions == (names(n, (3, 2000, 30000)), names(n, (5, 1000)))
     assert (r.sets, r.collisions) == exact_so_check(n)
 
 
@@ -193,6 +221,17 @@ def test_min_energy_examples():
     assert r.min_energy == 4 and (1,) in r.argmin_sets and r.conjecture_holds
     r = min_energy_search(9)
     assert r.min_energy == 12 and r.conjecture_value == 12 and (1,) in r.argmin_sets
+
+
+def test_min_energy_connectivity_on_every_set(monkeypatch):
+    # with every energy 0, every connected set ties for the minimum
+    monkeypatch.setattr(families, "block_energies", lambda L, n: np.zeros(len(L), np.int64))
+    for n in range(2, 121):
+        divs = proper_divisors(n)
+        sets = [mask_divisors(m, divs) for m in range(1, subset_count(n) + 1)]
+        connected = [ds for ds in sets if math.gcd(*ds) == 1]
+        connected.sort(key=lambda ds: ",".join(map(str, ds)))
+        assert min_energy_search(n).argmin_sets == tuple(connected), n
 
 
 def test_min_energy_all_sets_mode():

@@ -66,8 +66,9 @@ def test_incremental_spectra_match_direct():
 def test_gcd_table():
     """The degree class counts components: its eigenvalue's multiplicity is gcd(D).
 
-    min_energy_search reads connectivity from this identity, so it is checked
-    for every mask against math.gcd of the divisor set.
+    This is the spectral form of the component theorem (graphs.connectivity
+    says gcd(D) components), checked for every mask against math.gcd of the
+    divisor set.
     """
     for n in (24, 30, 64, 180):
         divs = proper_divisors(n)
