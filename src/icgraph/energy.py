@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .arith import divisors, euler_phi
 from .graphs import IcgSpec, block_energies, spectrum
-from .sweep import DEFAULT_BUDGET, iter_class_blocks, mask_divisors, proper_divisors
+from .sweep import DEFAULT_BUDGET, divisor_mask, iter_class_blocks, mask_divisors, proper_divisors
 
 
 def energy(spec: IcgSpec) -> int:
@@ -117,16 +117,15 @@ def mod4_blocks(n: int, budget: int = DEFAULT_BUDGET):
     """
     import numpy as np
 
-    half = divisors(n).index(n // 2) if n % 2 == 0 else None
+    even = n % 2 == 0
+    half = divisors(n).index(n // 2) if even else None  # the class column of n/2
+    half_bit = divisor_mask(n, (n // 2,)) if even else 0
     for masks, L in iter_class_blocks(n, budget):
         energies = block_energies(L, n)
         if half is None:
             predicted = np.zeros_like(masks)
         else:
-            # proper_divisors(n) is divisors(n) without n, so half is both the
-            # mask bit and the class column of n/2
-            half_in_d = (masks >> half & 1).astype(bool)
-            predicted = _residue_rule(half_in_d, L[:, half])
+            predicted = _residue_rule(masks & half_bit != 0, L[:, half])
         yield masks, energies, energies % 4, predicted
 
 

@@ -35,6 +35,7 @@ from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_finger
 from .sweep import (
     DEFAULT_BUDGET,
     check_budget,
+    divisor_mask,
     iter_class_blocks,
     mask_divisors,
     proper_divisors,
@@ -269,7 +270,7 @@ def min_energy_search(
     divisors prime to p.
     """
     divs = proper_divisors(n)
-    prime_to = [sum(1 << i for i, d in enumerate(divs) if d % p) for p in prime_factors(n)]
+    prime_to = [divisor_mask(n, [d for d in divs if d % p]) for p in prime_factors(n)]
     best = None
     argmin: list[int] = []
     for masks, L in iter_class_blocks(n, budget):
@@ -306,7 +307,7 @@ def bipartite_extremal_spectrum(n: int) -> Spectrum:
     """
     if n % 2:
         raise ValueError(f"even n required, got {n}")
-    spec = IcgSpec(n, tuple(d for d in proper_divisors(n) if d % 2))
+    spec = IcgSpec(n, predicted_min_energy_set(n))
     s = spectrum(spec)
     expected = tuple(n // 2 if e == n else -(n // 2) if e == n // 2 else 0 for e in divisors(n))
     if s.classes != expected:

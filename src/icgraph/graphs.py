@@ -63,7 +63,7 @@ class IcgSpec:
         if len(set(ds)) != len(ds):
             raise ValueError(f"duplicate divisors in {ds}")
         for d in ds:
-            if not isinstance(d, int) or d < 1:
+            if not isinstance(d, int) or isinstance(d, bool) or d < 1:
                 raise ValueError(f"divisor {d!r} must be a positive integer")
             if d >= n:
                 raise ValueError(f"divisor {d} must be a proper divisor (< {n})")

@@ -12,11 +12,12 @@ Two consistency routes that do not share code with the Ramanujan-sum path:
 
 Neither route calls a Ramanujan sum, graphs.spectrum or the divisor-class
 tables.  verify_against_trig checks the class eigenvalues that the sweeps
-themselves read, a bounded block of divisor sets at a time:
-sweep.class_block takes each set's low bits from the low table
-(sweep.low_table) that the sweeps slice, and adds the class_table rows of
-its high bits.  The trig oracle is floating point, so comparisons carry an
-explicit tolerance; everything else is exact integer arithmetic.
+themselves read, a bounded block of divisor sets at a time.  A set travels
+as its mask (sweep.divisor_mask), a Python int of any size;
+sweep.class_block takes its low bits from the low table (sweep.low_table)
+that the sweeps slice, and adds the class_table rows of its high bits.  The
+trig oracle is floating point, so comparisons carry an explicit tolerance;
+everything else is exact integer arithmetic.
 """
 
 from __future__ import annotations
@@ -32,6 +33,7 @@ from .sweep import (
     BLOCK,
     class_block,
     class_table,
+    divisor_mask,
     low_table,
     mask_bits,
     mask_divisors,
@@ -44,11 +46,6 @@ if TYPE_CHECKING:
 
 TRIG_MAX_N = 100_000
 FFT_CELLS = 1 << 14  # rows x n of one FFT block in verify_against_trig
-
-
-def _spec_mask(spec: IcgSpec) -> int:
-    divs = proper_divisors(spec.n)
-    return sum(1 << divs.index(d) for d in spec.divisors)
 
 
 def _indicators(n: int, masks) -> np.ndarray:
@@ -83,7 +80,7 @@ def spectrum_trig(spec: IcgSpec) -> np.ndarray:
     Computed as the FFT of the indicator of S; returns an index-ordered
     float array, the same run to run.
     """
-    return _trig_block(spec.n, [_spec_mask(spec)])[0]
+    return _trig_block(spec.n, [divisor_mask(spec.n, spec.divisors)])[0]
 
 
 @dataclass(frozen=True)
@@ -136,19 +133,21 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     deterministic sample of `budget` subsets (seeded by n) is used.  The
     masks go in parts of at most BLOCK masks and FFT_CELLS cells; the exact
     side of a part is its class-eigenvalue block, expanded to index order,
-    and the trig side is one FFT.
+    and the trig side is one FFT.  Raises ValueError when budget < 1.
     """
     import numpy as np
 
+    if budget < 1:
+        raise ValueError(f"budget must be at least 1, got {budget}")
     divs = proper_divisors(n)
     total = subset_count(n)
     exhaustive = total <= budget
-    masks = np.arange(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
+    masks = range(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
     table = class_table(n)
     low = low_table(table)
 
-    def name(mask) -> str:
-        return IcgSpec(n, mask_divisors(int(mask), divs)).canonical()
+    def name(mask: int) -> str:
+        return IcgSpec(n, mask_divisors(mask, divs)).canonical()
 
     index = class_index(n)
     rows = min(BLOCK, max(1, FFT_CELLS // n))
@@ -208,7 +207,7 @@ def count_four_cycles(spec: IcgSpec) -> int:
     """
     import numpy as np
 
-    x = _indicators(spec.n, [_spec_mask(spec)])[0].astype(np.int64)
+    x = _indicators(spec.n, [divisor_mask(spec.n, spec.divisors)])[0].astype(np.int64)
     c = np.correlate(np.concatenate((x, x)), x, "valid")[1 : spec.n]
     return spec.n * int((c * (c - 1) // 2).sum()) // 4
 

@@ -13,7 +13,8 @@ per-set product.  Memory stays bounded by one block: the enumeration keeps
 nothing per set beyond it.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
-refers to the i-th smallest proper divisor.
+refers to the i-th smallest proper divisor.  divisor_mask is the one encoder
+of that rule and mask_divisors its decoder; a mask is a Python int of any size.
 """
 
 from __future__ import annotations
@@ -61,19 +62,21 @@ def mask_divisors(mask: int, divs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for i, d in enumerate(divs) if mask >> i & 1)
 
 
+def divisor_mask(n: int, divisors) -> int:
+    """The mask of a set of proper divisors of n; mask_divisors inverts it."""
+    divs = proper_divisors(n)
+    return sum(1 << divs.index(d) for d in set(divisors))
+
+
 def mask_bits(masks, width: int) -> np.ndarray:
     """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i].
 
-    masks is an int64 array, or a sequence of Python ints of any size (a
-    sampled mask of n with tau'(n) >= 64 proper divisors needs 64+ bits).
+    masks is any sequence of masks: Python ints of any size, or an int64 array.
     """
     import numpy as np
 
     nbytes = (width + 7) // 8
-    if isinstance(masks, np.ndarray):
-        raw = masks.astype("<u8").view(np.uint8).reshape(-1, 8)[:, :nbytes]
-    else:
-        raw = np.frombuffer(b"".join(m.to_bytes(nbytes, "little") for m in masks), np.uint8)
+    raw = np.frombuffer(b"".join(int(m).to_bytes(nbytes, "little") for m in masks), np.uint8)
     return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
 
 
@@ -81,6 +84,8 @@ def class_table(n: int) -> np.ndarray:
     """The int64 table R[i, j] = c(e_j, n/d_i): row i is divisor_class_row(n, d_i)."""
     import numpy as np
 
+    if n < 2:
+        raise ValueError(f"n must be an integer >= 2, got {n}")
     return np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
 
 
@@ -104,17 +109,11 @@ def class_block(masks, table: np.ndarray, low: np.ndarray) -> np.ndarray:
 
     Row i is low[masks[i] & (BLOCK - 1)] plus the rows of table for the bits
     of masks[i] above LOW_BITS.  table is class_table(n), low is
-    low_table(table); masks is anything mask_bits accepts.
+    low_table(table); masks is any sequence of masks, as for mask_bits.
     """
-    import numpy as np
-
-    if isinstance(masks, np.ndarray):
-        lows, highs = masks & (BLOCK - 1), masks >> LOW_BITS
-    else:
-        lows, highs = [m & (BLOCK - 1) for m in masks], [m >> LOW_BITS for m in masks]
-    rows = low[lows]
+    rows = low[[m & (BLOCK - 1) for m in masks]]
     if len(table) > LOW_BITS:
-        rows += mask_bits(highs, len(table) - LOW_BITS) @ table[LOW_BITS:]
+        rows += mask_bits([m >> LOW_BITS for m in masks], len(table) - LOW_BITS) @ table[LOW_BITS:]
     return rows
 
 

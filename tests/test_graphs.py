@@ -44,6 +44,15 @@ def test_spec_validation_rejects_bad_input():
         IcgSpec(6, (0,))
 
 
+def test_spec_rejects_bool_divisors():
+    """True is an int, but "12:True" would not parse back."""
+    for ds in ((True,), (False,), (True, 3)):
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            IcgSpec(12, ds)
+    for spec in (IcgSpec(12, (1,)), IcgSpec(12, (1, 3)), IcgSpec(720720, (1, 7, 360360))):
+        assert parse_spec(spec.canonical()) == spec
+
+
 def test_parse_spec():
     assert parse_spec("6:1,3") == IcgSpec(6, (1, 3))
     assert parse_spec("2:1") == IcgSpec(2, (1,))

@@ -128,6 +128,14 @@ def test_verify_against_trig_exhaustive():
     assert r.failures == ()
 
 
+def test_verify_against_trig_rejects_budget_below_one():
+    """A budget of 0 would compare no set and still report ok."""
+    for budget in (0, -1):
+        with pytest.raises(ValueError, match=rf"^budget must be at least 1, got {budget}$"):
+            verify_against_trig(60, budget=budget)
+    assert verify_against_trig(60, budget=1).sets == 1
+
+
 def test_verify_against_trig_sampled_deterministic():
     # 360 has 23 proper divisors, far beyond the budget: sampling kicks in
     a = verify_against_trig(360, budget=40)

@@ -7,7 +7,10 @@ import numpy as np
 import pytest
 
 from icgraph.arith import divisors, euler_phi
+from icgraph.energy import mod4_sweep
+from icgraph.families import min_energy_search, so_conjecture_check
 from icgraph.graphs import IcgSpec, class_index, spectrum
+from icgraph.oracle import verify_against_trig
 from icgraph.sweep import (
     BLOCK,
     DEFAULT_BUDGET,
@@ -16,6 +19,7 @@ from icgraph.sweep import (
     check_budget,
     class_block,
     class_table,
+    divisor_mask,
     iter_class_blocks,
     low_table,
     mask_bits,
@@ -51,6 +55,40 @@ def test_mask_decoding_order():
     assert seen == list(range(1, 32))  # ascending, no gaps
     assert mask_divisors(1, divs) == (1,)
     assert mask_divisors(0b10110, divs) == (2, 3, 6)
+
+
+def test_divisor_mask_inverts_mask_divisors():
+    """Every divisor set of a few n: the encoder and the decoder are inverse."""
+    for n in (2, 12, 30, 64, 96):
+        divs = proper_divisors(n)
+        for mask in range(1, subset_count(n) + 1):
+            ds = mask_divisors(mask, divs)
+            assert divisor_mask(n, ds) == mask, (n, mask)
+            assert mask_divisors(divisor_mask(n, ds), divs) == ds
+    assert divisor_mask(12, (6, 2, 3)) == divisor_mask(12, (6, 2, 3, 2)) == 0b10110
+    with pytest.raises(ValueError):
+        divisor_mask(12, (5,))
+
+
+def test_divisor_mask_beyond_64_bits():
+    """At n = 720720 (tau' = 239) the masks of seeded random sets are Python ints past 64 bits."""
+    n = 720720
+    divs = proper_divisors(n)
+    rng = random.Random(n)
+    sets = [divs, divs[-1:]] + [
+        tuple(sorted(rng.sample(divs, rng.randint(1, len(divs))))) for _ in range(200)
+    ]
+    masks = [divisor_mask(n, ds) for ds in sets]
+    assert [mask_divisors(m, divs) for m in masks] == sets
+    assert masks[0] == (1 << 239) - 1 and masks[1] == 1 << 238
+
+
+@pytest.mark.parametrize(
+    "search", [so_conjecture_check, verify_against_trig, mod4_sweep, min_energy_search]
+)
+def test_range_entry_points_reject_n_below_2(search):
+    with pytest.raises(ValueError, match=r"^n must be an integer >= 2, got 1$"):
+        search(1)
 
 
 def test_incremental_spectra_match_direct():
@@ -93,7 +131,7 @@ def test_class_blocks_equal_bits_times_table():
         table = class_table(n)
         widths.add(len(table))
         for masks, L in iter_class_blocks(n):
-            assert np.array_equal(L, mask_bits(masks, len(table)) @ table), (n, masks[0])
+            assert np.array_equal(L, mask_bits(masks.tolist(), len(table)) @ table), (n, masks[0])
     assert min(widths) < LOW_BITS < max(widths) and LOW_BITS in widths
 
 
@@ -109,3 +147,19 @@ def test_class_block_on_sampled_masks_equals_bits_times_table(n):
     assert np.array_equal(got, want)
     if len(table) < 63:
         assert np.array_equal(class_block(np.array(masks), table, low_table(table)), want)
+
+
+def test_class_block_takes_one_mask_type_in_any_container():
+    """A range, a list and an int64 array of the same masks give the same rows.
+
+    n = 5040 has 59 proper divisors, so the masks have high bits above LOW_BITS
+    and still fit int64; the window crosses a block boundary.
+    """
+    n = 5040
+    table = class_table(n)
+    low = low_table(table)
+    masks = range((1 << 58) - 700, (1 << 58) + 700, 3)
+    want = mask_bits(list(masks), len(table)) @ table
+    for given in (masks, list(masks), np.array(masks, dtype=np.int64)):
+        assert np.array_equal(mask_bits(given, len(table)), mask_bits(list(masks), len(table)))
+        assert np.array_equal(class_block(given, table, low), want)
