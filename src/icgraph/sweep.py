@@ -62,10 +62,10 @@ def mask_divisors(mask: int, divs: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(d for i, d in enumerate(divs) if mask >> i & 1)
 
 
-def divisor_mask(n: int, divisors) -> int:
+def divisor_mask(n: int, divisor_set) -> int:
     """The mask of a set of proper divisors of n; mask_divisors inverts it."""
     divs = proper_divisors(n)
-    return sum(1 << divs.index(d) for d in set(divisors))
+    return sum(1 << divs.index(d) for d in set(divisor_set))
 
 
 def mask_bits(masks, width: int) -> np.ndarray:
