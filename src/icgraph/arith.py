@@ -4,18 +4,24 @@ Everything here works in plain Python integers, so results are exact at any
 size the rest of the library cares about (trial division keeps factorization
 practical up to ~10^12; the intended working range is n <= ~10^6).
 
-The Ramanujan sum c(k, n) is the sum of e^(2πi·ak/n) over the units a mod n.
+The Ramanujan sum c(k, m) is the sum of e^(2πi·ak/m) over the units a mod m.
 It is always an integer and has the closed form
 
-    c(k, n) = mu(t) * phi(n) / phi(t),   t = n / gcd(k, n),
+    c(k, m) = mu(t) * phi(m) / phi(t),   t = m / gcd(k, m).
 
-which is what `ramanujan` evaluates.
+A spectrum of order n needs c(k, m) only for divisors m of n, and then t
+divides n too, so every phi and mu of the closed form is that of a divisor
+of n.  phi_mu_table(n) builds them all from one factorization of n, by
+multiplicativity, and ramanujan_sums evaluates the closed form from that
+table alone; euler_phi and mobius factorize their own argument and serve
+single values.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from math import gcd
+from types import MappingProxyType
 
 # Entries per cache.  One n calls each cached function on at most its tau(n)
 # divisors, and tau(n) <= 6720 for n <= 10^12, so one n's working set always
@@ -94,16 +100,43 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-def ramanujan(k: int, n: int) -> int:
-    """Ramanujan sum c(k, n), exactly.
+@lru_cache(maxsize=CACHE_SIZE)
+def phi_mu_table(n: int) -> MappingProxyType[int, tuple[int, int]]:
+    """(phi(e), mu(e)) for every divisor e of n, from factorize(n) alone.
 
-    k may be any integer; c(k, n) is periodic in k with period n, so k is
-    reduced mod n first.
+    Both functions are multiplicative, so the pair of e is the product over
+    the prime powers p^k exactly dividing e of phi(p^k) = p^(k-1) (p - 1)
+    and of mu(p) = -1, mu(p^k) = 0 for k >= 2.  The mapping is read-only,
+    because the cache hands the same one to every caller.
     """
+    table = {1: (1, 1)}
+    for p, a in factorize(n):
+        powers = [(1, 1, 1), (p, p - 1, -1)]
+        powers += [(p**k, p ** (k - 1) * (p - 1), 0) for k in range(2, a + 1)]
+        table = {e * q: (phi * f, mu * s) for e, (phi, mu) in table.items() for q, f, s in powers}
+    return MappingProxyType(table)
+
+
+def ramanujan_sums(ks, m: int, n: int) -> tuple[int, ...]:
+    """Ramanujan sums c(k, m) for each integer k of ks, exactly; m must divide n.
+
+    c(k, m) depends on k only through gcd(k, m), so k may be any integer.
+    Each phi and mu of the closed form is read from phi_mu_table(n), so one
+    factorization of n serves every m dividing n.
+    """
+    if not 1 <= m <= n or n % m:
+        raise ValueError(f"{m} does not divide {n}")
+    table = phi_mu_table(n)
+    phi_m = table[m][0]
+    sums = []
+    for k in ks:
+        phi_t, mu = table[m // gcd(k, m)]
+        # phi(t) divides phi(m) whenever t divides m, so // is exact here.
+        sums.append(mu * (phi_m // phi_t) if mu else 0)
+    return tuple(sums)
+
+
+def ramanujan(k: int, n: int) -> int:
+    """Ramanujan sum c(k, n), exactly, for any integer k (it has period n in k)."""
     _check_positive(n)
-    t = n // gcd(k % n, n)
-    mu = mobius(t)
-    if mu == 0:
-        return 0
-    # phi(t) divides phi(n) whenever t divides n, so // is exact here.
-    return mu * (euler_phi(n) // euler_phi(t))
+    return ramanujan_sums((k,), n, n)[0]

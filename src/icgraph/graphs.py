@@ -10,10 +10,13 @@ are integers given by Ramanujan sums:
 Each c(k, n/d) depends on k only through gcd(k, n), so the spectrum is
 stored as tau(n) class eigenvalues lambda_e, one per divisor e of n, with
 multiplicity phi(n/e) (Klotz & Sander, Some properties of unitary Cayley
-graphs, EJC 14 (2007)).  Energy, spectral moments, the cospectral key and
-its 64-bit fingerprint are weighted sums or merges over the classes; the
-index-ordered view (lambda_0 is the degree, lambda_{n/2} drives the mod-4
-energy rule) is expanded only when a caller asks for it.
+graphs, EJC 14 (2007)).  Every phi and mu in these sums and weights is that
+of a divisor of n, so the class rows and the weights phi(n/e) read one
+table built from a single factorization of n (arith.phi_mu_table).
+Energy, spectral moments, the cospectral key and its 64-bit fingerprint
+are weighted sums or merges over the classes; the index-ordered view
+(lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
+expanded only when a caller asks for it.
 
 Every module of the package imports numpy inside the functions that use
 it, and the single-graph path uses none of them: spectrum, energy, moments,
@@ -34,7 +37,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import CACHE_SIZE, divisors, euler_phi, ramanujan
+from .arith import CACHE_SIZE, divisors, euler_phi, phi_mu_table, ramanujan_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -118,7 +121,10 @@ class Spectrum:
 
     def at(self, e: int) -> int:
         """lambda_k for every k with gcd(k, n) = e; e must divide n."""
-        return self.classes[divisors(self.n).index(e)]
+        try:
+            return self.classes[divisors(self.n).index(e)]
+        except ValueError:
+            raise ValueError(f"{e!r} is not a divisor of n={self.n}") from None
 
     @cached_property
     def values(self) -> tuple[int, ...]:
@@ -163,7 +169,8 @@ class Spectrum:
 @lru_cache(maxsize=CACHE_SIZE)
 def class_weights(n: int) -> tuple[int, ...]:
     """phi(n/e) for each divisor e of n, in the order of divisors(n)."""
-    return tuple(euler_phi(n // e) for e in divisors(n))
+    table = phi_mu_table(n)
+    return tuple(table[n // e][0] for e in divisors(n))
 
 
 def class_index(n: int) -> np.ndarray:
@@ -175,8 +182,7 @@ def class_index(n: int) -> np.ndarray:
 
 def divisor_class_row(n: int, d: int) -> tuple[int, ...]:
     """c(e, n/d) for each divisor e of n: the class eigenvalues of ICG_n({d})."""
-    m = n // d
-    return tuple(ramanujan(e, m) for e in divisors(n))
+    return ramanujan_sums(divisors(n), n // d, n)
 
 
 def block_energies(L: np.ndarray, n: int) -> np.ndarray:

@@ -65,7 +65,12 @@ def mask_divisors(mask: int, divs: tuple[int, ...]) -> tuple[int, ...]:
 def divisor_mask(n: int, divisor_set) -> int:
     """The mask of a set of proper divisors of n; mask_divisors inverts it."""
     divs = proper_divisors(n)
-    return sum(1 << divs.index(d) for d in set(divisor_set))
+    mask = 0
+    for d in set(divisor_set):
+        if d not in divs:
+            raise ValueError(f"{d!r} is not a proper divisor of n={n}")
+        mask |= 1 << divs.index(d)
+    return mask
 
 
 def mask_bits(masks, width: int) -> np.ndarray:

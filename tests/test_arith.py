@@ -1,6 +1,7 @@
 """Number-theory kernel: factorization, totient, Möbius, Ramanujan sums."""
 
 import math
+import random
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from icgraph.arith import (
     factorize,
     is_prime,
     mobius,
+    phi_mu_table,
     prime_factors,
     ramanujan,
+    ramanujan_sums,
 )
 from icgraph.energy import energy_report
-from icgraph.graphs import IcgSpec
+from icgraph.graphs import IcgSpec, class_weights
 
 
 def test_factorize():
@@ -146,8 +149,51 @@ def test_ramanujan_multiplicative():
         assert ramanujan(k, m * n) == ramanujan(k, m) * ramanujan(k, n)
 
 
+def _prime_power_products(rng, count, limit):
+    """count seeded n <= limit, each a product of random prime powers (many divisors)."""
+    primes = [p for p in range(2, 2000) if is_prime(p)]
+    out = []
+    while len(out) < count:
+        n = 1
+        for p in rng.sample(primes[:12], 3) + rng.sample(primes, 2):
+            n *= p ** rng.randrange(0, 4)
+        if 1 < n <= limit:
+            out.append(n)
+    return out
+
+
+def test_phi_mu_table_equals_euler_phi_and_mobius():
+    rng = random.Random(15)
+    sample = [rng.randrange(2, 10**12) for _ in range(30)] + _prime_power_products(rng, 30, 10**12)
+    for n in [*range(1, 3001), *sample]:
+        table = phi_mu_table(n)
+        assert set(table) == set(divisors(n)), n
+        for e in divisors(n):
+            assert table[e] == (euler_phi(e), mobius(e)), (n, e)
+
+
+def test_ramanujan_sums_read_one_table_for_every_divisor():
+    """c(k, m) from the table of a multiple n of m equals c(k, m) from m's own."""
+    for n in (1, 12, 97, 360, 720720, 999_999):
+        ks = range(-3, 50)
+        for m in divisors(n):
+            assert ramanujan_sums(ks, m, n) == tuple(ramanujan(k, m) for k in ks), (n, m)
+    for m, n in ((5, 12), (0, 12), (24, 12), (-6, 12)):
+        with pytest.raises(ValueError, match=f"{m} does not divide {n}"):
+            ramanujan_sums((1,), m, n)
+
+
+def test_one_energy_report_factorizes_n_once():
+    """A graph's spectrum and weights read phi and mu from one factorization of n."""
+    for n, ds in ((692054, (1, 2, 346027)), (720720, (1, 2, 3, 360360))):
+        for f in (factorize, divisors, phi_mu_table, class_weights):
+            f.cache_clear()
+        energy_report(IcgSpec(n, ds))
+        assert factorize.cache_info().misses == 1, n
+
+
 def test_caches_are_bounded_and_hold_one_n():
-    caches = (factorize, euler_phi, mobius, divisors)
+    caches = (factorize, euler_phi, mobius, divisors, phi_mu_table)
     assert all(f.cache_info().maxsize is not None for f in caches)
     spec = IcgSpec(720720, (1, 2, 3, 360360))  # tau(720720) = 240
     energy_report(spec)

@@ -115,6 +115,14 @@ def test_spectrum_matches_dense_eigensolver():
         assert np.max(np.abs(dense - exact)) < 1e-8, spec
 
 
+def test_spectrum_at_names_a_non_divisor():
+    s = spectrum(IcgSpec(12, (1, 3)))
+    assert s.at(12) == degree(IcgSpec(12, (1, 3)))
+    for e in (5, 0, 24, -3):
+        with pytest.raises(ValueError, match=rf"{e} is not a divisor of n=12"):
+            s.at(e)
+
+
 def test_adjacency_shape():
     spec = IcgSpec(10, (1, 5))
     A = adjacency(spec)

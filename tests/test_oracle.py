@@ -34,7 +34,14 @@ def test_oracle_is_independent_of_the_exact_path(monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("the oracle used the exact path")
 
-    exact = (arith.ramanujan, graphs.spectrum, graphs.divisor_class_row, graphs.class_index)
+    exact = (
+        arith.ramanujan,
+        arith.ramanujan_sums,
+        arith.phi_mu_table,
+        graphs.spectrum,
+        graphs.divisor_class_row,
+        graphs.class_index,
+    )
     for mod in [m for name, m in sys.modules.items() if name.startswith("icgraph")]:
         for attr, value in list(vars(mod).items()):
             if any(value is f for f in exact):

@@ -69,6 +69,12 @@ def test_divisor_mask_inverts_mask_divisors():
         divisor_mask(12, (5,))
 
 
+def test_divisor_mask_names_a_non_divisor():
+    for d in (5, 12, 0, 24):
+        with pytest.raises(ValueError, match=rf"{d} is not a proper divisor of n=12"):
+            divisor_mask(12, (1, d, 6))
+
+
 def test_divisor_mask_beyond_64_bits():
     """At n = 720720 (tau' = 239) the masks of seeded random sets are Python ints past 64 bits."""
     n = 720720
