@@ -23,10 +23,14 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-# Entries per cache.  One n calls each cached function on at most its tau(n)
-# divisors, and tau(n) <= 6720 for n <= 10^12, so one n's working set always
-# fits while a long sweep over many n stays bounded.
+# Entries per cache of single values.  One n calls each cached function on at
+# most its tau(n) divisors, and tau(n) <= 6720 for n <= 10^12, so one n's
+# working set always fits while a long sweep over many n stays bounded.
 CACHE_SIZE = 1 << 13
+# Entries per cache of whole per-n tables (phi_mu_table, graphs.class_weights,
+# sweep._low_texts).  A call works on the tables of one n, so a few entries
+# serve it, and a process that meets many n keeps only the last few tables.
+TABLE_CACHE_SIZE = 8
 
 
 def _check_positive(n: int) -> None:
@@ -100,7 +104,7 @@ def divisors(n: int) -> tuple[int, ...]:
     return tuple(sorted(divs))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def phi_mu_table(n: int) -> MappingProxyType[int, tuple[int, int]]:
     """(phi(e), mu(e)) for every divisor e of n, from factorize(n) alone.
 

@@ -9,7 +9,14 @@ whole range before writing a row, then write rows as they are produced:
 `| head` ends a sweep early, and memory follows the current n, not the range.
 Rows are formatted a block at a time (one block per n for the verbs with one
 row per n, 1024 divisor sets per block for mod4-sweep), and each block goes
-to stdout as one string.
+to stdout as one string.  _emit is the one writer of both formats.  The
+three mod-4 fields of a mod4-sweep row take 16 joint values, so they reach
+_emit as one column of codes (a _Codes key), whose text is rendered once
+per format.
+
+A verb imports the modules it needs when it runs (closed_forms, families,
+oracle, csv), so building the parser loads none of them and a mod4-sweep
+process loads only cli, energy, graphs, sweep and arith of the package.
 
 argparse enforces which arguments go together: a range verb takes exactly
 one of a positional target and --range, closed-form exactly one of --power
@@ -22,15 +29,15 @@ counterexample, 3 enumeration budget exceeded.
 from __future__ import annotations
 
 import argparse
-import csv
 import dataclasses
 import json
 import math
 import os
 import sys
+from functools import cached_property
+from itertools import chain, repeat
 from json.encoder import encode_basestring_ascii
 
-from . import closed_forms, families, oracle
 from .energy import energy as graph_energy, energy_report, mod4_blocks
 from .graphs import IcgSpec, parse_spec, spectrum
 from .sweep import DEFAULT_BUDGET, BudgetExceeded, check_budget, spec_names
@@ -130,27 +137,66 @@ def _block(rows) -> dict:
     return {k: [row[k] for row in rows] for k in rows[0]}
 
 
+@dataclasses.dataclass(frozen=True)
+class _Codes:
+    """Block key for fields whose values take few joint values, one code per row.
+
+    Its column holds codes, and the row's values of the fields `names` are
+    rows[code].  The text of every code is rendered once per format, so a
+    row costs one lookup instead of one encoding per field.
+    """
+
+    names: tuple[str, ...]
+    rows: tuple[tuple, ...]
+
+    @cached_property
+    def json_text(self) -> tuple[str, ...]:
+        """Per code, its fields as they stand inside a JSON object."""
+        dumps = json.JSONEncoder(separators=(",", ":")).encode
+        return tuple(dumps(dict(zip(self.names, row)))[1:-1] for row in self.rows)
+
+    @cached_property
+    def csv_cells(self) -> tuple[tuple[str, ...], ...]:
+        """Per code, the CSV field of each of its values."""
+        return tuple(tuple(map(_csv_cell, row)) for row in self.rows)
+
+
 def _emit(blocks, fmt: str) -> None:
     """Write blocks of rows to stdout, one string per block.
 
-    A block maps each field name to its column of values, one per row.  A
-    JSON line is the same text as json.dumps(row, separators=(",", ":"));
-    a CSV header comes from the first block.
+    A block maps each field name to its column of values, one per row; a
+    _Codes key stands for its fields, and its column holds codes.  A JSON
+    line is the same text as json.dumps(row, separators=(",", ":")); a CSV
+    header comes from the first block.
     """
     if fmt == "json":
         encode = json.JSONEncoder(separators=(",", ":")).encode
         for block in blocks:
-            line = "{" + ",".join(encode(k).replace("%", "%%") + ":%s" for k in block) + "}\n"
-            cols = [_json_column(col, encode) for col in block.values()]
-            sys.stdout.write("".join([line % row for row in zip(*cols)]))
+            parts = []  # the text before each field's value, then the values
+            for key, col in block.items():
+                head = "," if parts else "{"
+                if isinstance(key, _Codes):
+                    parts += repeat(head), map(key.json_text.__getitem__, col)
+                else:
+                    parts += repeat(head + encode(key) + ":"), _json_column(col, encode)
+            sys.stdout.write("".join(chain.from_iterable(zip(*parts, repeat("}\n")))))
     else:
+        import csv
+
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = None
         for block in blocks:
             if header is None:
                 header = list(block)
-                writer.writerow(header)
-            writer.writerows(zip(*([_csv_cell(v) for v in block[k]] for k in header)))
+                writer.writerow([name for key in header
+                                 for name in (key.names if isinstance(key, _Codes) else (key,))])
+            cols = []
+            for key in header:
+                if isinstance(key, _Codes):
+                    cols += zip(*map(key.csv_cells.__getitem__, block[key]))
+                else:
+                    cols.append([_csv_cell(v) for v in block[key]])
+            writer.writerows(zip(*cols))
 
 
 def cmd_spectrum(args) -> int:
@@ -202,25 +248,31 @@ def _run_range(args, check, blocks, failed, message) -> int:
     return 0
 
 
+# residue4 and predicted4 are residues mod 4, so the three mod-4 fields of a
+# row take 16 joint values, coded 4 * residue4 + predicted4.
+_MOD4 = _Codes(("residue4", "predicted4", "match"),
+               tuple((r, p, r == p) for r in range(4) for p in range(4)))
+_MOD4_MISMATCH = tuple(not match for _, _, match in _MOD4.rows)
+
+
 def cmd_mod4_sweep(args) -> int:
     def blocks(n):
         for masks, energies, residues, predicted in mod4_blocks(n, args.budget):
-            yield {
-                "spec": spec_names(n, masks),
-                "energy": energies.tolist(),
-                "residue4": residues.tolist(),
-                "predicted4": predicted.tolist(),
-                "match": (residues == predicted).tolist(),
-            }
+            yield {"spec": spec_names(n, masks), "energy": energies.tolist(),
+                   _MOD4: (4 * residues + predicted).tolist()}
+
+    def failed(block):
+        return [spec for spec, code in zip(block["spec"], block[_MOD4]) if _MOD4_MISMATCH[code]]
 
     return _run_range(
-        args, lambda n: check_budget(n, args.budget), blocks,
-        lambda block: [spec for spec, ok in zip(block["spec"], block["match"]) if not ok],
+        args, lambda n: check_budget(n, args.budget), blocks, failed,
         lambda bad: f"counterexamples: {' '.join(bad)}",
     )
 
 
 def cmd_closed_form(args) -> int:
+    from . import closed_forms
+
     if args.power is not None:
         family, params = closed_forms.Family.ONE_AND_PRIME_POWER, args.power
     else:
@@ -233,6 +285,8 @@ def cmd_closed_form(args) -> int:
 
 
 def cmd_cross_validate(args) -> int:
+    from . import closed_forms
+
     rows = closed_forms.cross_validate(args.n_max)
     table = [dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows]
     _emit([_block(table)], args.format)
@@ -244,6 +298,8 @@ def cmd_cross_validate(args) -> int:
 
 
 def cmd_family(args) -> int:
+    from . import families
+
     if args.family_class == "first":
         report = families.equienergetic_family(args.n)
     else:
@@ -253,6 +309,8 @@ def cmd_family(args) -> int:
 
 
 def cmd_so_check(args) -> int:
+    from . import families
+
     return _run_range(
         args, lambda n: check_budget(n, args.budget),
         lambda n: [_block([families.so_conjecture_check(n, args.budget).to_json_dict()])],
@@ -262,6 +320,8 @@ def cmd_so_check(args) -> int:
 
 
 def cmd_min_energy(args) -> int:
+    from . import families
+
     search = families.min_energy_search
     return _run_range(
         args, lambda n: check_budget(n, args.budget),
@@ -273,6 +333,8 @@ def cmd_min_energy(args) -> int:
 
 
 def cmd_verify_oracle(args) -> int:
+    from . import oracle
+
     verify = oracle.verify_against_trig
     return _run_range(
         args, oracle.check_trig_n,

@@ -12,14 +12,18 @@ stored as tau(n) class eigenvalues lambda_e, one per divisor e of n, with
 multiplicity phi(n/e) (Klotz & Sander, Some properties of unitary Cayley
 graphs, EJC 14 (2007)).  Every phi and mu in these sums and weights is that
 of a divisor of n, so the class rows and the weights phi(n/e) read one
-table built from a single factorization of n (arith.phi_mu_table).
+table built from a single factorization of n (arith.phi_mu_table).  Such
+whole per-n tables are cached for the last few n only
+(arith.TABLE_CACHE_SIZE), so memory follows the n a caller works on, not
+every n a long process has met.
 Energy, spectral moments, the cospectral key and its 64-bit fingerprint
 are weighted sums or merges over the classes; the index-ordered view
 (lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
 expanded only when a caller asks for it.
 
-Every module of the package imports numpy inside the functions that use
-it, and the single-graph path uses none of them: spectrum, energy, moments,
+The package loads a submodule when one of its names is first used, and
+every module imports numpy inside the functions that use it; the
+single-graph path uses none of them: spectrum, energy, moments,
 class lookups, the cospectral key and sorted_values, cospectral, the two
 equienergetic family constructions and the CLI's family verb.  Importing
 numpy loads OpenBLAS, whose worker thread busy-waits after start-up: about
@@ -37,7 +41,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import CACHE_SIZE, divisors, euler_phi, phi_mu_table, ramanujan_sums
+from .arith import TABLE_CACHE_SIZE, divisors, euler_phi, phi_mu_table, ramanujan_sums
 
 if TYPE_CHECKING:
     import numpy as np
@@ -166,7 +170,7 @@ class Spectrum:
         return tuple(v for v, m in self.cospectral_key() for _ in range(m))
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def class_weights(n: int) -> tuple[int, ...]:
     """phi(n/e) for each divisor e of n, in the order of divisors(n)."""
     table = phi_mu_table(n)

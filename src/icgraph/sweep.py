@@ -22,7 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import divisors
+from .arith import TABLE_CACHE_SIZE, divisors
 from .graphs import divisor_class_row
 
 if TYPE_CHECKING:
@@ -142,7 +142,7 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
         yield np.arange(start, stop), low[start - lo : stop - lo] + class_block([lo], table, low)
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _low_texts(divs: tuple[int, ...]) -> tuple[str, ...]:
     """The text d1,d2,... of the divisors each mask selects, by mask; built like low_table."""
     texts = [""]

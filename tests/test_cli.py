@@ -1,19 +1,22 @@
 """Command-line interface: byte-exact output, exit codes, determinism."""
 
+import csv
 import hashlib
+import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from icgraph import cli
+from icgraph import cli, closed_forms, families
 from icgraph.cli import main
 from icgraph.closed_forms import CrossValidationRow, Family, classify_case, iter_admissible
 from icgraph.graphs import parse_spec
-from icgraph.sweep import subset_count
+from icgraph.sweep import spec_names, subset_count
 
 
 def run(capsys, *argv):
@@ -153,7 +156,7 @@ def test_cross_validate_csv_header(capsys):
 def test_cross_validate_errors(capsys, monkeypatch):
     assert run(capsys, "cross-validate", "3") == (1, "", "icgraph: error: need n_max >= 4, got 3\n")
     wrong = CrossValidationRow(4, Family.ONE_AND_PRIME_POWER, (2, 1), 1, 5, 4)
-    monkeypatch.setattr(cli.closed_forms, "cross_validate", lambda n_max: [wrong])
+    monkeypatch.setattr(closed_forms, "cross_validate", lambda n_max: [wrong])
     code, out, err = run(capsys, "cross-validate", "4")
     assert (code, err) == (2, "counterexamples: 1 formula/direct mismatches\n")
     assert out.splitlines()[1].endswith(",5,4,false")
@@ -294,7 +297,7 @@ def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
     def no_memory(*args):
         raise MemoryError  # as Python raises it, without a message
 
-    monkeypatch.setattr(cli.families, "so_conjecture_check", no_memory)
+    monkeypatch.setattr(families, "so_conjecture_check", no_memory)
     assert run(capsys, "so-check", "12") == (1, "", "icgraph: error: out of memory\n")
 
 
@@ -349,6 +352,37 @@ def test_range_counterexamples_exit_2(capsys, monkeypatch):
     code, out, err = run(capsys, "mod4-sweep", "5..7")
     assert (code, err) == (2, "counterexamples: 6:1\n")
     assert len(out.splitlines()) == subset_count(5) + subset_count(6) + subset_count(7)
+
+
+def test_mod4_rows_of_every_residue_and_prediction(capsys, monkeypatch):
+    # every (residue4, predicted4) pair of residues mod 4, odd ones and mismatches included
+    blocks = cli.mod4_blocks
+    rows = []
+
+    def every_pair(n, budget):
+        for masks, energies, _, _ in blocks(n, budget):
+            start = len(rows)
+            residues, predicted = zip(*(divmod(i % 16, 4) for i in range(start, start + len(masks))))
+            rows.extend({"spec": s, "energy": e, "residue4": r, "predicted4": p, "match": r == p}
+                        for s, e, r, p in zip(spec_names(n, masks), energies.tolist(),
+                                              residues, predicted))
+            yield masks, energies, np.array(residues), np.array(predicted)
+
+    monkeypatch.setattr(cli, "mod4_blocks", every_pair)
+    code, out, err = run(capsys, "mod4-sweep", "11..13")
+    assert len(rows) == 1 + 31 + 1 and len({(r["residue4"], r["predicted4"]) for r in rows}) == 16
+    bad = [row["spec"] for row in rows if not row["match"]]
+    assert (code, err) == (2, f"counterexamples: {' '.join(bad)}\n")
+    assert out == "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
+
+    rows.clear()
+    code, out, err = run(capsys, "mod4-sweep", "11..13", "--format", "csv")
+    assert (code, err) == (2, f"counterexamples: {' '.join(bad)}\n")
+    expect = io.StringIO()
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows([*row.values()][:-1] + [str(row["match"]).lower()] for row in rows)
+    assert out == expect.getvalue()
 
 
 def test_emit_json_lines_equal_json_dumps(capsys):
@@ -415,5 +449,28 @@ def test_so_check_loads_no_numpy_ma():
         "from icgraph.cli import main\n"
         "assert main(['so-check', '172..200']) == 0\n"
         "assert 'numpy.ma' not in sys.modules\n"
+    )
+    run_python(code)
+
+
+def test_mod4_sweep_loads_only_its_own_modules():
+    code = (
+        "import sys\n"
+        "from icgraph.cli import main\n"
+        "assert main(['mod4-sweep', '12']) == 0\n"
+        "for name in ('icgraph.families', 'icgraph.oracle', 'icgraph.closed_forms',\n"
+        "             'csv', 'fractions', 'decimal'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
+    run_python(code)
+
+
+def test_building_the_parser_loads_no_verb_modules():
+    code = (
+        "import sys\n"
+        "import icgraph.cli\n"
+        "icgraph.cli.build_parser()\n"
+        "for name in ('numpy', 'icgraph.families', 'icgraph.oracle', 'icgraph.closed_forms'):\n"
+        "    assert name not in sys.modules, name\n"
     )
     run_python(code)

@@ -1,5 +1,6 @@
 """Graph construction, validation, and the exact Ramanujan-sum spectrum."""
 
+import importlib
 import os
 import subprocess
 import sys
@@ -208,3 +209,38 @@ def test_public_names_resolve_once():
     assert len(set(icgraph.__all__)) == len(icgraph.__all__)
     missing = [name for name in icgraph.__all__ if not hasattr(icgraph, name)]
     assert not missing, missing
+
+
+def test_public_names_resolve_to_the_objects_of_their_modules():
+    import icgraph
+
+    names = ("arith", "closed_forms", "energy", "families", "graphs", "oracle", "sweep")
+    modules = [importlib.import_module(f"icgraph.{m}") for m in names]
+    for name in icgraph.__all__:
+        value = getattr(icgraph, name)
+        assert any(getattr(m, name, None) is value for m in modules), name
+    assert set(icgraph.__all__) <= set(dir(icgraph))
+    with pytest.raises(AttributeError, match="no_such_name"):
+        icgraph.no_such_name
+
+
+@pytest.mark.parametrize("first", [
+    "import icgraph.energy",
+    "from icgraph import *",
+    "from icgraph.cli import main; assert main(['mod4-sweep', '6']) == 0",
+])
+def test_package_energy_is_the_function_after_any_import(first):
+    # icgraph.energy names the function, although a submodule of that name exists
+    code = (
+        f"{first}\n"
+        "import sys, icgraph, icgraph.energy\n"
+        "assert icgraph.energy is sys.modules['icgraph.energy'].energy\n"
+        "assert icgraph.energy(icgraph.IcgSpec(6, (1,))) == 8\n"
+        "assert icgraph.families.cospectral is icgraph.cospectral\n"
+    )
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH", "")) if p))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
