@@ -11,10 +11,13 @@ It is always an integer and has the closed form
 
 A spectrum of order n needs c(k, m) only for divisors m of n, and then t
 divides n too, so every phi and mu of the closed form is that of a divisor
-of n.  phi_mu_table(n) builds them all from one factorization of n, by
-multiplicativity, and ramanujan_sums evaluates the closed form from that
-table alone; euler_phi and mobius factorize their own argument and serve
-single values.
+of n.  phi_mu_table(n) is the one per-n divisor table: built in one
+multiplicative pass from one factorization of n, it holds every divisor of
+n in increasing order with its phi and mu, so divisors(n) is its keys and
+the class weights phi(n/e) are its phi column reversed.  ramanujan_totals
+evaluates the closed form from that table alone, for the sum over a whole
+set of moduli in one pass (ramanujan_sums is the one-modulus case);
+euler_phi and mobius factorize their own argument and serve single values.
 """
 
 from __future__ import annotations
@@ -92,52 +95,59 @@ def mobius(n: int) -> int:
 
 @lru_cache(maxsize=CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
-    """All positive divisors of n in increasing order.
-
-    Each divisor is a product of prime powers p^k, 0 <= k <= a, over the
-    factorization of n, so no division beyond factorize(n) is needed.
-    """
-    _check_positive(n)
-    divs = [1]
-    for p, a in factorize(n):
-        divs = [d * p**k for d in divs for k in range(a + 1)]
-    return tuple(sorted(divs))
+    """All positive divisors of n in increasing order: the keys of phi_mu_table(n)."""
+    return tuple(phi_mu_table(n))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def phi_mu_table(n: int) -> MappingProxyType[int, tuple[int, int]]:
-    """(phi(e), mu(e)) for every divisor e of n, from factorize(n) alone.
+    """(phi(e), mu(e)) for every divisor e of n, in increasing order of e.
 
-    Both functions are multiplicative, so the pair of e is the product over
-    the prime powers p^k exactly dividing e of phi(p^k) = p^(k-1) (p - 1)
-    and of mu(p) = -1, mu(p^k) = 0 for k >= 2.  The mapping is read-only,
-    because the cache hands the same one to every caller.
+    Each divisor is a product of prime powers p^k, 0 <= k <= a, over the
+    factorization of n, and both functions are multiplicative, so the pair
+    of e is the product over the p^k exactly dividing e of
+    phi(p^k) = p^(k-1) (p - 1) and of mu(p) = -1, mu(p^k) = 0 for k >= 2.
+    Each prime extends the ascending rows (e, (phi, mu)) by a copies of
+    them times p^k, each ascending too, so one sort merges the runs.  The
+    mapping is read-only, because the cache hands the same one to every
+    caller.
     """
-    table = {1: (1, 1)}
+    rows = [(1, (1, 1))]
     for p, a in factorize(n):
-        powers = [(1, 1, 1), (p, p - 1, -1)]
-        powers += [(p**k, p ** (k - 1) * (p - 1), 0) for k in range(2, a + 1)]
-        table = {e * q: (phi * f, mu * s) for e, (phi, mu) in table.items() for q, f, s in powers}
-    return MappingProxyType(table)
+        powers = [(p**k, p ** (k - 1) * (p - 1), -1 if k == 1 else 0) for k in range(1, a + 1)]
+        rows += [(e * q, (phi * f, mu * s)) for q, f, s in powers for e, (phi, mu) in rows]
+        rows.sort()
+    return MappingProxyType(dict(rows))
+
+
+def ramanujan_totals(ks, moduli, n: int) -> tuple[int, ...]:
+    """For each integer k of ks, the sum of c(k, m) over the moduli m, exactly.
+
+    Every m must divide n.  c(k, m) depends on k only through gcd(k, m), so
+    k may be any integer.  Each phi and mu of the closed form is read from
+    phi_mu_table(n), so one factorization of n serves every m dividing n,
+    and the sums for all the moduli come from one pass over ks.
+    """
+    for m in moduli:
+        if not 1 <= m <= n or n % m:
+            raise ValueError(f"{m} does not divide {n}")
+    table = phi_mu_table(n)
+    terms = [(m, table[m][0]) for m in moduli]
+    sums = []
+    for k in ks:
+        total = 0
+        for m, phi_m in terms:
+            phi_t, mu = table[m // gcd(k, m)]
+            if mu:
+                # phi(t) divides phi(m) whenever t divides m, so // is exact here.
+                total += mu * (phi_m // phi_t)
+        sums.append(total)
+    return tuple(sums)
 
 
 def ramanujan_sums(ks, m: int, n: int) -> tuple[int, ...]:
-    """Ramanujan sums c(k, m) for each integer k of ks, exactly; m must divide n.
-
-    c(k, m) depends on k only through gcd(k, m), so k may be any integer.
-    Each phi and mu of the closed form is read from phi_mu_table(n), so one
-    factorization of n serves every m dividing n.
-    """
-    if not 1 <= m <= n or n % m:
-        raise ValueError(f"{m} does not divide {n}")
-    table = phi_mu_table(n)
-    phi_m = table[m][0]
-    sums = []
-    for k in ks:
-        phi_t, mu = table[m // gcd(k, m)]
-        # phi(t) divides phi(m) whenever t divides m, so // is exact here.
-        sums.append(mu * (phi_m // phi_t) if mu else 0)
-    return tuple(sums)
+    """Ramanujan sums c(k, m) for each integer k of ks, exactly; m must divide n."""
+    return ramanujan_totals(ks, (m,), n)
 
 
 def ramanujan(k: int, n: int) -> int:

@@ -22,7 +22,9 @@ depending on how the chosen primes sit inside the factorization of n
 
 `classify_case` is the one place a case is decided: it validates the input,
 reads the branch from one factorization of n and returns the branch with
-its energy, computing only the totients that branch uses.
+its energy, computing only the totients that branch uses.  A given prime
+that factorize(n) lists is prime and divides n, so it is not trial-divided
+again; only a value outside factorize(n) is tested, to name the error.
 `energy_one_prime_power` and `energy_two_primes` return that energy.
 
 `cross_validate` re-derives every admissible instance from the exact
@@ -60,23 +62,28 @@ class ClosedFormCase:
     energy: int
 
 
-def _check_primes(n: int, primes: tuple[int, ...]) -> None:
-    """The checks both families share: n >= 4, and each prime is prime and divides n."""
+def _check_primes(n: int, primes: tuple[int, ...]) -> dict[int, int]:
+    """The checks both families share: n >= 4, and each prime is prime and divides n.
+
+    Returns the exponent of every prime of n.  A prime of n passes both
+    checks at once, so only an x outside factorize(n) is tried for primality.
+    """
     if n < 4:
         raise ValueError(f"closed forms need n >= 4, got {n}")
+    exponents = dict(factorize(n))
     for x in primes:
-        if not is_prime(x):
-            raise ValueError(f"{x} is not prime")
-        if n % x:
+        if x not in exponents:
+            if not is_prime(x):
+                raise ValueError(f"{x} is not prime")
             raise ValueError(f"{x} does not divide {n}")
+    return exponents
 
 
 def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> ClosedFormCase:
     """Resolve which theorem branch applies (exactly one always does) and its energy."""
     if family is Family.ONE_AND_PRIME_POWER:
         p, gamma = parameters
-        _check_primes(n, (p,))
-        exponents = dict(factorize(n))
+        exponents = _check_primes(n, (p,))
         alpha = exponents[p]
         if not 1 <= gamma <= alpha:
             raise ValueError(f"gamma={gamma} outside 1..{alpha} for p={p}, n={n}")
@@ -95,12 +102,11 @@ def classify_case(n: int, family: Family, parameters: tuple[int, ...]) -> Closed
         return ClosedFormCase(family, tag, (n, p, gamma), value)
     if family is Family.TWO_PRIMES:
         p, q = parameters
-        _check_primes(n, (p, q))
+        exponents = _check_primes(n, (p, q))
         if p == q:
             raise ValueError("p and q must be distinct")
         if p > q:
             raise ValueError(f"primes must be given in order p < q, got {p} > {q}")
-        exponents = dict(factorize(n))
         ap, aq = exponents[p], exponents[q]
         k = len(exponents)
         phi_n = euler_phi(n)

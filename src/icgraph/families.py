@@ -19,17 +19,16 @@ Highlights:
   with one bitmask per prime of n.
 
 All searches run over every nonempty divisor subset (within the sweep
-budget) and are deterministic.
+budget) and are deterministic.  closed_forms and fractions are imported by
+the three functions that use them, so the searches load neither.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
-from .closed_forms import energy_two_primes
 from .energy import hyperenergetic
 from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_fingerprints
 from .sweep import (
@@ -101,6 +100,8 @@ def equienergetic_family(n: int) -> FamilyReport:
     energy must equal closed_forms.energy_two_primes for the first pair
     (branch 1 of X_n(p, q)).
     """
+    from .closed_forms import energy_two_primes
+
     single = [p for p, a in factorize(n) if a == 1]
     if len(single) < 2:
         raise ValueError(
@@ -118,6 +119,8 @@ def equienergetic_family_second(n: int) -> FamilyReport:
     and the energy must equal closed_forms.energy_two_primes(n, 2, q) for
     the first q (branch 2 of X_n(p, q)).
     """
+    from .closed_forms import energy_two_primes
+
     if n % 4 != 2:
         raise ValueError(f"construction needs n == 2 (mod 4), got n={n}")
     squared = [p for p, a in factorize(n) if p != 2 and a >= 2]
@@ -140,6 +143,8 @@ def second_spectral_value(n: int, p_i: int, p_j: int) -> int:
     uses p_ij, the smallest prime dividing n/(p_i p_j); the max is taken in
     exact rational arithmetic.
     """
+    from fractions import Fraction
+
     fac = factorize(n)
     if any(a >= 2 for _, a in fac):
         raise ValueError(f"n={n} is not square-free")

@@ -11,11 +11,13 @@ Each c(k, n/d) depends on k only through gcd(k, n), so the spectrum is
 stored as tau(n) class eigenvalues lambda_e, one per divisor e of n, with
 multiplicity phi(n/e) (Klotz & Sander, Some properties of unitary Cayley
 graphs, EJC 14 (2007)).  Every phi and mu in these sums and weights is that
-of a divisor of n, so the class rows and the weights phi(n/e) read one
-table built from a single factorization of n (arith.phi_mu_table).  Such
-whole per-n tables are cached for the last few n only
-(arith.TABLE_CACHE_SIZE), so memory follows the n a caller works on, not
-every n a long process has met.
+of a divisor of n, so one table built from a single factorization of n
+(arith.phi_mu_table) is the source of the divisors, the class rows and the
+weights phi(n/e) (its phi column reversed, as e -> n/e reverses the
+divisors), and a spectrum is one pass over it for the whole divisor set D
+(arith.ramanujan_totals).  Such whole per-n tables are cached for the last
+few n only (arith.TABLE_CACHE_SIZE), so memory follows the n a caller works
+on, not every n a long process has met.
 Energy, spectral moments, the cospectral key and its 64-bit fingerprint
 are weighted sums or merges over the classes; the index-ordered view
 (lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
@@ -41,7 +43,14 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import TYPE_CHECKING
 
-from .arith import TABLE_CACHE_SIZE, divisors, euler_phi, phi_mu_table, ramanujan_sums
+from .arith import (
+    TABLE_CACHE_SIZE,
+    divisors,
+    euler_phi,
+    phi_mu_table,
+    ramanujan_sums,
+    ramanujan_totals,
+)
 
 if TYPE_CHECKING:
     import numpy as np
@@ -172,9 +181,12 @@ class Spectrum:
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def class_weights(n: int) -> tuple[int, ...]:
-    """phi(n/e) for each divisor e of n, in the order of divisors(n)."""
-    table = phi_mu_table(n)
-    return tuple(table[n // e][0] for e in divisors(n))
+    """phi(n/e) for each divisor e of n, in the order of divisors(n).
+
+    e -> n/e reverses the ascending divisors, so this is the phi column of
+    phi_mu_table(n) read backwards.
+    """
+    return tuple(phi for phi, _ in reversed(phi_mu_table(n).values()))
 
 
 def class_index(n: int) -> np.ndarray:
@@ -222,9 +234,12 @@ def spectrum_fingerprints(L: np.ndarray, n: int) -> np.ndarray:
 
 
 def spectrum(spec: IcgSpec) -> Spectrum:
-    """Exact integer spectrum via the Ramanujan-sum formula, per divisor class."""
-    rows = [divisor_class_row(spec.n, d) for d in spec.divisors]
-    return Spectrum(spec.n, tuple(sum(col) for col in zip(*rows)))
+    """Exact integer spectrum via the Ramanujan-sum formula, per divisor class.
+
+    The classes of all of D come from one pass over the divisors of n.
+    """
+    n = spec.n
+    return Spectrum(n, ramanujan_totals(divisors(n), [n // d for d in spec.divisors], n))
 
 
 def symbol_set(spec: IcgSpec) -> set[int]:

@@ -11,9 +11,11 @@ Two consistency routes that do not share code with the Ramanujan-sum path:
   autocorrelation of the same indicator.
 
 Neither route calls a Ramanujan sum, graphs.spectrum or the divisor-class
-tables.  verify_against_trig checks the class eigenvalues that the sweeps
-themselves read, a bounded block of divisor sets at a time.  A set travels
-as its mask (sweep.divisor_mask), a Python int of any size;
+tables, and a single graph's indicator is read from gcd(k, n) and D alone,
+without the per-n divisor table (arith.phi_mu_table) that lists the
+divisors of n.  verify_against_trig checks the class eigenvalues that the
+sweeps themselves read, a bounded block of divisor sets at a time.  A set
+travels as its mask (sweep.divisor_mask), a Python int of any size;
 sweep.class_block takes its low bits from the low table (sweep.low_table)
 that the sweeps slice, and adds the class_table rows of its high bits.  The
 trig oracle is floating point, so comparisons carry an explicit tolerance;
@@ -33,7 +35,6 @@ from .sweep import (
     BLOCK,
     class_block,
     class_table,
-    divisor_mask,
     low_table,
     mask_bits,
     mask_divisors,
@@ -60,6 +61,13 @@ def _indicators(n: int, masks) -> np.ndarray:
     return bits[:, slot[np.gcd(np.arange(n), n)]]
 
 
+def _indicator(spec: IcgSpec) -> np.ndarray:
+    """The 0/1 row of ICG_n(D) alone, from gcd(k, n) and D, with no divisor list of n."""
+    import numpy as np
+
+    return np.isin(np.gcd(np.arange(spec.n), spec.n), spec.divisors).astype(np.uint8)
+
+
 def check_trig_n(n: int) -> None:
     """Raise ValueError when n is too large for the trig oracle."""
     if n > TRIG_MAX_N:
@@ -80,7 +88,10 @@ def spectrum_trig(spec: IcgSpec) -> np.ndarray:
     Computed as the FFT of the indicator of S; returns an index-ordered
     float array, the same run to run.
     """
-    return _trig_block(spec.n, [divisor_mask(spec.n, spec.divisors)])[0]
+    import numpy as np
+
+    check_trig_n(spec.n)
+    return np.fft.fft(_indicator(spec)).real
 
 
 @dataclass(frozen=True)
@@ -207,7 +218,7 @@ def count_four_cycles(spec: IcgSpec) -> int:
     """
     import numpy as np
 
-    x = _indicators(spec.n, [divisor_mask(spec.n, spec.divisors)])[0].astype(np.int64)
+    x = _indicator(spec).astype(np.int64)
     c = np.correlate(np.concatenate((x, x)), x, "valid")[1 : spec.n]
     return spec.n * int((c * (c - 1) // 2).sum()) // 4
 

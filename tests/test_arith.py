@@ -19,7 +19,7 @@ from icgraph.arith import (
     ramanujan_sums,
 )
 from icgraph.energy import energy_report
-from icgraph.graphs import IcgSpec, class_weights
+from icgraph.graphs import IcgSpec, class_weights, spectrum
 
 
 def test_factorize():
@@ -84,7 +84,9 @@ def test_divisors():
 
 
 def _trial_divisors(n):
-    small = [d for d in range(1, math.isqrt(n) + 1) if n % d == 0]
+    """The divisors of n, ascending, by trial division up to sqrt(n) (n < 2^63)."""
+    small = np.arange(1, math.isqrt(n) + 1, dtype=np.int64)
+    small = small[n % small == 0].tolist()
     return tuple(small + [n // d for d in reversed(small) if d * d != n])
 
 
@@ -163,14 +165,57 @@ def _prime_power_products(rng, count, limit):
     return out
 
 
-def test_phi_mu_table_equals_euler_phi_and_mobius():
+def _table_ns():
+    """Every n <= 3000, then 60 seeded n below 10^12, half of them with many divisors."""
     rng = random.Random(15)
     sample = [rng.randrange(2, 10**12) for _ in range(30)] + _prime_power_products(rng, 30, 10**12)
-    for n in [*range(1, 3001), *sample]:
+    return [*range(1, 3001), *sample]
+
+
+def test_phi_mu_table_equals_euler_phi_and_mobius():
+    for n in _table_ns():
         table = phi_mu_table(n)
         assert set(table) == set(divisors(n)), n
         for e in divisors(n):
             assert table[e] == (euler_phi(e), mobius(e)), (n, e)
+
+
+def test_one_table_lists_the_divisors_and_the_class_weights():
+    for n in _table_ns():
+        assert tuple(phi_mu_table(n)) == _trial_divisors(n), n
+        assert divisors(n) == tuple(phi_mu_table(n)), n
+        assert class_weights(n) == tuple(euler_phi(n // e) for e in divisors(n)), n
+
+
+def _spectrum_by_single_values(n, D):
+    """Column sums of the rows c(e, n/d), d in D, over the divisors e of n found by
+    trial division; each c(e, m) = mu(t) phi(m) / phi(t) with t = m / gcd(e, m),
+    from mobius and euler_phi, which factorize their own arguments."""
+    rows = []
+    for d in D:
+        m = n // d
+        ts = [m // math.gcd(e, m) for e in _trial_divisors(n)]
+        rows.append([mobius(t) * (euler_phi(m) // euler_phi(t)) for t in ts])
+    return tuple(map(sum, zip(*rows)))
+
+
+def test_spectrum_is_one_pass_over_the_table():
+    rng = random.Random(17)
+    cases = []
+    for n in range(2, 3001):
+        proper = divisors(n)[:-1]
+        cases.append((n, rng.sample(proper, rng.randint(1, min(4, len(proper))))))
+    # the 48 n below 10^12 with the most divisors, up to 192, of 400 seeded
+    # ones, and two n with tau(n) = 192
+    large = [n for n in _prime_power_products(rng, 400, 10**12) if len(divisors(n)) <= 192]
+    large = sorted(large, key=lambda n: len(divisors(n)))[-48:]
+    large += [360360, 2**3 * 3**2 * 101 * 103 * 997 * 1009]
+    assert [len(divisors(n)) for n in large[-2:]] == [192, 192] and large[-1] < 10**12
+    for n in large:
+        proper = divisors(n)[:-1]
+        cases.append((n, rng.sample(proper, rng.randint(1, min(5, len(proper))))))
+    for n, D in cases:
+        assert spectrum(IcgSpec(n, D)).classes == _spectrum_by_single_values(n, D), (n, D)
 
 
 def test_ramanujan_sums_read_one_table_for_every_divisor():
@@ -191,6 +236,7 @@ def test_one_energy_report_factorizes_n_once():
             f.cache_clear()
         energy_report(IcgSpec(n, ds))
         assert factorize.cache_info().misses == 1, n
+        assert phi_mu_table.cache_info().misses == 1, n
 
 
 def test_caches_are_bounded_and_hold_one_n():

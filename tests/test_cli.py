@@ -465,6 +465,19 @@ def test_mod4_sweep_loads_only_its_own_modules():
     run_python(code)
 
 
+def test_census_verbs_load_no_closed_forms():
+    # families imports closed_forms and fractions only where it uses them
+    code = (
+        "import sys\n"
+        "from icgraph.cli import main\n"
+        "assert main(['so-check', '172..200']) == 0\n"
+        "assert main(['min-energy', '172..200']) == 0\n"
+        "for name in ('icgraph.closed_forms', 'fractions', 'decimal'):\n"
+        "    assert name not in sys.modules, name\n"
+    )
+    run_python(code)
+
+
 def test_building_the_parser_loads_no_verb_modules():
     code = (
         "import sys\n"

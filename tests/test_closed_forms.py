@@ -77,6 +77,33 @@ def test_two_primes_rejects():
         energy_two_primes(12, 3, 4)  # 4 is not prime
 
 
+def test_primes_of_n_are_not_trial_divided(monkeypatch):
+    """A prime that factorize(n) lists is accepted as it is; only other x are tried."""
+    tried = []
+    is_prime = closed_forms.is_prime
+    monkeypatch.setattr(closed_forms, "is_prime", lambda x: tried.append(x) or is_prime(x))
+    n = 2 * 3**2 * 101 * 103
+    assert energy_one_prime_power(n, 103, 1) == energy(IcgSpec(n, (1, 103)))
+    assert energy_one_prime_power(n, 3, 2) == energy(IcgSpec(n, (1, 9)))
+    assert energy_two_primes(n, 101, 103) == energy(IcgSpec(n, (101, 103)))
+    assert energy_two_primes(n, 2, 3) == energy(IcgSpec(n, (2, 3)))
+    assert tried == []
+    # the error path keeps its messages and their order: each x in turn,
+    # primality before divisibility
+    for call, message in (
+        (lambda: energy_one_prime_power(10, 9, 1), "9 is not prime"),
+        (lambda: energy_one_prime_power(10, 3, 1), "3 does not divide 10"),
+        (lambda: energy_two_primes(30, 9, 7), "9 is not prime"),
+        (lambda: energy_two_primes(30, 7, 9), "7 does not divide 30"),
+        (lambda: energy_two_primes(30, 5, 9), "9 is not prime"),
+        (lambda: energy_two_primes(30, 5, 1), "1 is not prime"),
+        (lambda: energy_two_primes(3, 9, 7), "closed forms need n >= 4, got 3"),
+    ):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            call()
+    assert tried == [9, 3, 9, 7, 9, 1]
+
+
 def test_cross_validate_small():
     rows = cross_validate(120)
     assert rows and all(r.match for r in rows)

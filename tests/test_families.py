@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from icgraph import families, graphs
+from icgraph import closed_forms, families, graphs
 from icgraph.families import (
     bipartite_extremal_spectrum,
     cospectral,
@@ -67,7 +67,7 @@ def test_second_family_another_instance():
 def test_families_reject_a_wrong_closed_form(monkeypatch):
     # the shared energy is recomputed from the spectra, so a closed form that
     # disagrees with it must stop both constructions
-    monkeypatch.setattr(families, "energy_two_primes", lambda *args: 2)
+    monkeypatch.setattr(closed_forms, "energy_two_primes", lambda *args: 2)
     with pytest.raises(ArithmeticError):
         equienergetic_family(30)
     with pytest.raises(ArithmeticError):

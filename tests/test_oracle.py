@@ -37,6 +37,7 @@ def test_oracle_is_independent_of_the_exact_path(monkeypatch):
     exact = (
         arith.ramanujan,
         arith.ramanujan_sums,
+        arith.ramanujan_totals,
         arith.phi_mu_table,
         graphs.spectrum,
         graphs.divisor_class_row,
