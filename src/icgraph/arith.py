@@ -30,9 +30,10 @@ from types import MappingProxyType
 # most its tau(n) divisors, and tau(n) <= 6720 for n <= 10^12, so one n's
 # working set always fits while a long sweep over many n stays bounded.
 CACHE_SIZE = 1 << 13
-# Entries per cache of whole per-n tables (phi_mu_table, graphs.class_weights,
-# sweep._low_texts).  A call works on the tables of one n, so a few entries
-# serve it, and a process that meets many n keeps only the last few tables.
+# Entries per cache of whole per-n tables (divisors, phi_mu_table,
+# graphs.class_weights, sweep._low_texts).  A call works on the tables of one
+# n, so a few entries serve it, and a process that meets many n keeps only
+# the last few tables.
 TABLE_CACHE_SIZE = 8
 
 
@@ -93,7 +94,7 @@ def mobius(n: int) -> int:
     return -1 if len(fac) % 2 else 1
 
 
-@lru_cache(maxsize=CACHE_SIZE)
+@lru_cache(maxsize=TABLE_CACHE_SIZE)
 def divisors(n: int) -> tuple[int, ...]:
     """All positive divisors of n in increasing order: the keys of phi_mu_table(n)."""
     return tuple(phi_mu_table(n))

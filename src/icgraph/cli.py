@@ -7,12 +7,12 @@ result, compact separators) or CSV with --format csv.
 The range verbs (mod4-sweep, so-check, min-energy, verify-oracle) check the
 whole range before writing a row, then write rows as they are produced:
 `| head` ends a sweep early, and memory follows the current n, not the range.
-Rows are formatted a block at a time (one block per n for the verbs with one
-row per n, 1024 divisor sets per block for mod4-sweep), and each block goes
-to stdout as one string.  _emit is the one writer of both formats.  The
-three mod-4 fields of a mod4-sweep row take 16 joint values, so they reach
-_emit as one column of codes (a _Codes key), whose text is rendered once
-per format.
+_emit writes dict rows, one string per row, in either format; every verb but
+mod4-sweep writes through it.  mod4-sweep has a row per divisor set, so it
+has its own writer, _emit_mod4, which takes blocks of up to 1024 sets as
+(names, energies, codes) and writes each block as one string; the three
+mod-4 fields of a row take 16 joint values, and the text of each is
+rendered once.
 
 A verb imports the modules it needs when it runs (closed_forms, families,
 oracle, csv), so building the parser loads none of them and a mod4-sweep
@@ -34,9 +34,7 @@ import json
 import math
 import os
 import sys
-from functools import cached_property
 from itertools import chain, repeat
-from json.encoder import encode_basestring_ascii
 
 from .energy import energy as graph_energy, energy_report, mod4_blocks
 from .graphs import IcgSpec, parse_spec, spectrum
@@ -117,118 +115,81 @@ def _csv_cell(value, nested: bool = False) -> str:
     return str(value)
 
 
-# JSON text of the scalar types that fill most columns, as the encoder writes them
-_JSON_SCALARS = {
-    str: encode_basestring_ascii,
-    int: int.__repr__,
-    bool: {True: "true", False: "false"}.__getitem__,
-}
+def _emit(rows, fmt: str) -> None:
+    """Write dict rows to stdout, one string per row.
 
-
-def _json_column(values, encode) -> list[str]:
-    """JSON text of each value; a column of one scalar type skips the encoder."""
-    kinds = set(map(type, values))
-    scalar = _JSON_SCALARS.get(kinds.pop()) if len(kinds) == 1 else None
-    return list(map(scalar or encode, values))
-
-
-def _block(rows) -> dict:
-    """A nonempty list of rows with the same keys as one block: key -> column."""
-    return {k: [row[k] for row in rows] for k in rows[0]}
-
-
-@dataclasses.dataclass(frozen=True)
-class _Codes:
-    """Block key for fields whose values take few joint values, one code per row.
-
-    Its column holds codes, and the row's values of the fields `names` are
-    rows[code].  The text of every code is rendered once per format, so a
-    row costs one lookup instead of one encoding per field.
-    """
-
-    names: tuple[str, ...]
-    rows: tuple[tuple, ...]
-
-    @cached_property
-    def json_text(self) -> tuple[str, ...]:
-        """Per code, its fields as they stand inside a JSON object."""
-        dumps = json.JSONEncoder(separators=(",", ":")).encode
-        return tuple(dumps(dict(zip(self.names, row)))[1:-1] for row in self.rows)
-
-    @cached_property
-    def csv_cells(self) -> tuple[tuple[str, ...], ...]:
-        """Per code, the CSV field of each of its values."""
-        return tuple(tuple(map(_csv_cell, row)) for row in self.rows)
-
-
-def _emit(blocks, fmt: str) -> None:
-    """Write blocks of rows to stdout, one string per block.
-
-    A block maps each field name to its column of values, one per row; a
-    _Codes key stands for its fields, and its column holds codes.  A JSON
-    line is the same text as json.dumps(row, separators=(",", ":")); a CSV
-    header comes from the first block.
+    A JSON line is json.dumps(row, separators=(",", ":")); CSV has one
+    header, the keys of the first row.
     """
     if fmt == "json":
-        encode = json.JSONEncoder(separators=(",", ":")).encode
-        for block in blocks:
-            parts = []  # the text before each field's value, then the values
-            for key, col in block.items():
-                head = "," if parts else "{"
-                if isinstance(key, _Codes):
-                    parts += repeat(head), map(key.json_text.__getitem__, col)
-                else:
-                    parts += repeat(head + encode(key) + ":"), _json_column(col, encode)
-            sys.stdout.write("".join(chain.from_iterable(zip(*parts, repeat("}\n")))))
+        for row in rows:
+            sys.stdout.write(json.dumps(row, separators=(",", ":")) + "\n")
     else:
         import csv
 
         writer = csv.writer(sys.stdout, lineterminator="\n")
         header = None
-        for block in blocks:
+        for row in rows:
             if header is None:
-                header = list(block)
-                writer.writerow([name for key in header
-                                 for name in (key.names if isinstance(key, _Codes) else (key,))])
-            cols = []
-            for key in header:
-                if isinstance(key, _Codes):
-                    cols += zip(*map(key.csv_cells.__getitem__, block[key]))
-                else:
-                    cols.append([_csv_cell(v) for v in block[key]])
-            writer.writerows(zip(*cols))
+                header = list(row)
+                writer.writerow(header)
+            writer.writerow([_csv_cell(row[k]) for k in header])
+
+
+def _emit_mod4(blocks, fmt: str) -> None:
+    """Write mod4-sweep's (names, energies, codes) blocks, one string per block.
+
+    A row is spec, energy, residue4, predicted4 and match; its code is
+    4 * residue4 + predicted4, so the three mod-4 fields take 16 joint
+    values, each rendered once.  The lines are the ones _emit writes for
+    the same rows.
+    """
+    tails = [(r, p, r == p) for r in range(4) for p in range(4)]
+    if fmt == "json":
+        # a spec name holds only digits, ':' and ',', so it needs no escaping
+        json_tails = [f',"residue4":{r},"predicted4":{p},"match":{json.dumps(m)}}}\n'
+                      for r, p, m in tails]
+        for names, energies, codes in blocks:
+            sys.stdout.write("".join(chain.from_iterable(zip(
+                repeat('{"spec":"'), names, repeat('","energy":'), map(str, energies),
+                map(json_tails.__getitem__, codes)))))
+    else:
+        import csv
+
+        writer = csv.writer(sys.stdout, lineterminator="\n")
+        writer.writerow(("spec", "energy", "residue4", "predicted4", "match"))
+        csv_tails = [tuple(map(_csv_cell, tail)) for tail in tails]
+        for names, energies, codes in blocks:
+            writer.writerows(map(tuple.__add__, zip(names, energies),
+                                 map(csv_tails.__getitem__, codes)))
 
 
 def cmd_spectrum(args) -> int:
     s = spectrum(args.spec)
-    _emit(
-        [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}])],
-        args.format,
-    )
+    _emit([{"n": args.spec.n, "D": list(args.spec.divisors), "spectrum": list(s.values)}],
+          args.format)
     return 0
 
 
 def cmd_energy(args) -> int:
     e = graph_energy(args.spec)
-    _emit(
-        [_block([{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}])],
-        args.format,
-    )
+    _emit([{"n": args.spec.n, "D": list(args.spec.divisors), "energy": e}], args.format)
     return 0
 
 
 def cmd_report(args) -> int:
-    _emit([_block([energy_report(args.spec).to_json_dict()])], args.format)
+    _emit([energy_report(args.spec).to_json_dict()], args.format)
     return 0
 
 
-def _run_range(args, check, blocks, failed, message) -> int:
-    """Check every n of the range, then emit the blocks of each n as they are made.
+def _run_range(args, write, check, items, failed, message) -> int:
+    """Check every n of the range, then write the items of each n as they are made.
 
-    check(n) raises for an n the verb cannot take, before any row is
-    written; blocks(n) yields the rows of n as _emit blocks; failed(block)
-    lists the block's counterexamples in row order, and message(failed) is
-    the stderr line that goes with exit code 2.
+    items(n) yields what write takes: the dict rows of n for _emit, the
+    blocks of n for _emit_mod4.  check(n) raises for an n the verb cannot
+    take, before any row is written; failed(item) lists the item's
+    counterexamples in row order, and message(failed) is the stderr line
+    that goes with exit code 2.
     """
     lo, hi = args.target or args.range
     for n in range(lo, hi + 1):
@@ -237,35 +198,28 @@ def _run_range(args, check, blocks, failed, message) -> int:
 
     def stream():
         for n in range(lo, hi + 1):
-            for block in blocks(n):
-                bad.extend(failed(block))
-                yield block
+            for item in items(n):
+                bad.extend(failed(item))
+                yield item
 
-    _emit(stream(), args.format)
+    write(stream(), args.format)
     if bad:
         print(message(bad), file=sys.stderr)
         return 2
     return 0
 
 
-# residue4 and predicted4 are residues mod 4, so the three mod-4 fields of a
-# row take 16 joint values, coded 4 * residue4 + predicted4.
-_MOD4 = _Codes(("residue4", "predicted4", "match"),
-               tuple((r, p, r == p) for r in range(4) for p in range(4)))
-_MOD4_MISMATCH = tuple(not match for _, _, match in _MOD4.rows)
-
-
 def cmd_mod4_sweep(args) -> int:
     def blocks(n):
         for masks, energies, residues, predicted in mod4_blocks(n, args.budget):
-            yield {"spec": spec_names(n, masks), "energy": energies.tolist(),
-                   _MOD4: (4 * residues + predicted).tolist()}
+            yield spec_names(n, masks), energies.tolist(), (4 * residues + predicted).tolist()
 
     def failed(block):
-        return [spec for spec, code in zip(block["spec"], block[_MOD4]) if _MOD4_MISMATCH[code]]
+        names, _, codes = block
+        return [name for name, code in zip(names, codes) if code // 4 != code % 4]
 
     return _run_range(
-        args, lambda n: check_budget(n, args.budget), blocks, failed,
+        args, _emit_mod4, lambda n: check_budget(n, args.budget), blocks, failed,
         lambda bad: f"counterexamples: {' '.join(bad)}",
     )
 
@@ -280,7 +234,7 @@ def cmd_closed_form(args) -> int:
     case = closed_forms.classify_case(args.n, family, params)
     out = {"n": args.n, "family": family.value, **dict(zip(family.parameter_names, params)),
            "branch": case.case_tag, "energy": case.energy}
-    _emit([_block([out])], args.format)
+    _emit([out], args.format)
     return 0
 
 
@@ -288,8 +242,7 @@ def cmd_cross_validate(args) -> int:
     from . import closed_forms
 
     rows = closed_forms.cross_validate(args.n_max)
-    table = [dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows]
-    _emit([_block(table)], args.format)
+    _emit([dict(zip(closed_forms.CSV_HEADER, r.csv_fields())) for r in rows], args.format)
     mismatches = [r for r in rows if not r.match]
     if mismatches:
         print(f"counterexamples: {len(mismatches)} formula/direct mismatches", file=sys.stderr)
@@ -300,11 +253,16 @@ def cmd_cross_validate(args) -> int:
 def cmd_family(args) -> int:
     from . import families
 
-    if args.family_class == "first":
-        report = families.equienergetic_family(args.n)
-    else:
-        report = families.equienergetic_family_second(args.n)
-    _emit([_block([report.to_json_dict()])], args.format)
+    build = (families.equienergetic_family if args.family_class == "first"
+             else families.equienergetic_family_second)
+    try:
+        report = build(args.n)
+    except (ZeroDivisionError, OverflowError, FloatingPointError):
+        raise  # a fault in the program, not a failed check
+    except ArithmeticError as e:  # energies off the closed form, or cospectral members
+        print(f"counterexamples: {e}", file=sys.stderr)
+        return 2
+    _emit([report.to_json_dict()], args.format)
     return 0
 
 
@@ -312,9 +270,9 @@ def cmd_so_check(args) -> int:
     from . import families
 
     return _run_range(
-        args, lambda n: check_budget(n, args.budget),
-        lambda n: [_block([families.so_conjecture_check(n, args.budget).to_json_dict()])],
-        lambda block: [c for c in block["collisions"] if c],
+        args, _emit, lambda n: check_budget(n, args.budget),
+        lambda n: [families.so_conjecture_check(n, args.budget).to_json_dict()],
+        lambda row: row["collisions"],
         lambda bad: "counterexamples: cospectral divisor sets found",
     )
 
@@ -324,10 +282,10 @@ def cmd_min_energy(args) -> int:
 
     search = families.min_energy_search
     return _run_range(
-        args, lambda n: check_budget(n, args.budget),
-        lambda n: [_block([search(n, args.connected_only, args.budget).to_json_dict()])],
+        args, _emit, lambda n: check_budget(n, args.budget),
+        lambda n: [search(n, args.connected_only, args.budget).to_json_dict()],
         # conjecture_holds is set only when connected-only
-        lambda block: [h for h in block.get("conjecture_holds", ()) if h is False],
+        lambda row: [row["n"]] if row.get("conjecture_holds") is False else [],
         lambda bad: "counterexamples: predicted minimum not attained",
     )
 
@@ -337,9 +295,9 @@ def cmd_verify_oracle(args) -> int:
 
     verify = oracle.verify_against_trig
     return _run_range(
-        args, oracle.check_trig_n,
-        lambda n: [_block([dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))])],
-        lambda block: [ok for ok in block["ok"] if not ok],
+        args, _emit, oracle.check_trig_n,
+        lambda n: [dataclasses.asdict(verify(n, tol=args.tol, budget=args.budget))],
+        lambda row: [] if row["ok"] else [row["n"]],
         lambda bad: "counterexamples: exact and trig spectra disagree",
     )
 

@@ -251,10 +251,10 @@ def test_caches_are_bounded_and_hold_one_n():
 
 def test_per_n_table_caches_keep_the_last_few_n():
     # a whole table per n: a long process meeting many n keeps only a few
-    for f in (phi_mu_table, class_weights):
+    for f in (divisors, phi_mu_table, class_weights):
         f.cache_clear()
     for n in range(720720, 720720 + 64 * 720720, 720720):
         energy_report(IcgSpec(n, (1, 2)))
-    for f in (phi_mu_table, class_weights):
+    for f in (divisors, phi_mu_table, class_weights):
         assert f.cache_info().currsize <= TABLE_CACHE_SIZE, f
         assert f.cache_info().misses == 64, f

@@ -185,6 +185,20 @@ def test_family_verbs(capsys):
     assert main(["family", "4"]) == 1  # no admissible construction
 
 
+def test_family_check_failure_exits_2(capsys, monkeypatch):
+    two_primes = closed_forms.energy_two_primes
+    monkeypatch.setattr(closed_forms, "energy_two_primes", lambda *a: two_primes(*a) + 2)
+    code, out, err = run(capsys, "family", "210")
+    assert (code, out) == (2, "")
+    assert err.startswith("counterexamples: family energies differ from the closed form ")
+    assert err.count("\n") == 1
+
+    # a fault in the program is not a counterexample
+    monkeypatch.setattr(closed_forms, "energy_two_primes", lambda *a: 1 // 0)
+    with pytest.raises(ZeroDivisionError):
+        main(["family", "210"])
+
+
 def test_min_energy_verb(capsys):
     code, out, _ = run(capsys, "min-energy", "9")
     assert code == 0
@@ -391,9 +405,16 @@ def test_emit_json_lines_equal_json_dumps(capsys):
         {"s": "", "i": -2**70, "b": False, "f": float("nan"), "x": 1, "l": [], "%s": "%d"},
         {"s": "c", "i": True, "b": 1, "f": 2, "x": "y", "l": {"k": 1}, "%s": False},
     ]
-    cli._emit([cli._block(rows[:1]), cli._block(rows[1:])], "json")
+    cli._emit(rows, "json")
     expect = "".join(json.dumps(row, separators=(",", ":")) + "\n" for row in rows)
     assert capsys.readouterr().out == expect
+
+    cli._emit(rows, "csv")
+    expect = io.StringIO()
+    writer = csv.writer(expect, lineterminator="\n")
+    writer.writerow(list(rows[0]))
+    writer.writerows([cli._csv_cell(v) for v in row.values()] for row in rows)
+    assert capsys.readouterr().out == expect.getvalue()
 
 
 def test_help_exits_zero():

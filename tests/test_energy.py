@@ -1,6 +1,7 @@
 """Energy values, the mod-4 dichotomy, and the report plumbing."""
 
 import importlib
+import json
 
 import pytest
 
@@ -155,6 +156,8 @@ def test_block_spec_names_are_canonical():
             names = spec_names(n, masks)
             assert names == [IcgSpec(n, mask_divisors(m, divs)).canonical()
                              for m in masks.tolist()], n
+            # the mod4-sweep JSON writer quotes the names without an escaper
+            assert all(json.dumps(name) == '"' + name + '"' for name in names), n
             seen.extend(masks.tolist())
         assert seen == list(range(1, subset_count(n) + 1)), n
 
