@@ -16,8 +16,8 @@ multiplicative pass from one factorization of n, it holds every divisor of
 n in increasing order with its phi and mu, so divisors(n) is its keys and
 the class weights phi(n/e) are its phi column reversed.  ramanujan_totals
 evaluates the closed form from that table alone, for the sum over a whole
-set of moduli in one pass (ramanujan_sums is the one-modulus case);
-euler_phi and mobius factorize their own argument and serve single values.
+set of moduli in one pass; euler_phi and mobius factorize their own
+argument and serve single values.
 """
 
 from __future__ import annotations
@@ -146,12 +146,7 @@ def ramanujan_totals(ks, moduli, n: int) -> tuple[int, ...]:
     return tuple(sums)
 
 
-def ramanujan_sums(ks, m: int, n: int) -> tuple[int, ...]:
-    """Ramanujan sums c(k, m) for each integer k of ks, exactly; m must divide n."""
-    return ramanujan_totals(ks, (m,), n)
-
-
 def ramanujan(k: int, n: int) -> int:
     """Ramanujan sum c(k, n), exactly, for any integer k (it has period n in k)."""
     _check_positive(n)
-    return ramanujan_sums((k,), n, n)[0]
+    return ramanujan_totals((k,), (n,), n)[0]

@@ -48,7 +48,6 @@ from .arith import (
     divisors,
     euler_phi,
     phi_mu_table,
-    ramanujan_sums,
     ramanujan_totals,
 )
 
@@ -194,11 +193,6 @@ def class_index(n: int) -> np.ndarray:
     import numpy as np
 
     return np.searchsorted(np.array(divisors(n)), np.gcd(np.arange(n), n))
-
-
-def divisor_class_row(n: int, d: int) -> tuple[int, ...]:
-    """c(e, n/d) for each divisor e of n: the class eigenvalues of ICG_n({d})."""
-    return ramanujan_sums(divisors(n), n // d, n)
 
 
 def block_energies(L: np.ndarray, n: int) -> np.ndarray:

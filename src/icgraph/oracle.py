@@ -144,12 +144,14 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     deterministic sample of `budget` subsets (seeded by n) is used.  The
     masks go in parts of at most BLOCK masks and FFT_CELLS cells; the exact
     side of a part is its class-eigenvalue block, expanded to index order,
-    and the trig side is one FFT.  Raises ValueError when budget < 1.
+    and the trig side is one FFT.  Raises ValueError when budget < 1 or when
+    n is too large for the trig oracle, before any table is built.
     """
-    import numpy as np
-
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
+    check_trig_n(n)
+    import numpy as np
+
     divs = proper_divisors(n)
     total = subset_count(n)
     exhaustive = total <= budget

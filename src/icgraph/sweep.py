@@ -22,8 +22,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import TYPE_CHECKING
 
-from .arith import TABLE_CACHE_SIZE, divisors
-from .graphs import divisor_class_row
+from .arith import TABLE_CACHE_SIZE, divisors, ramanujan_totals
 
 if TYPE_CHECKING:
     import numpy as np
@@ -86,12 +85,13 @@ def mask_bits(masks, width: int) -> np.ndarray:
 
 
 def class_table(n: int) -> np.ndarray:
-    """The int64 table R[i, j] = c(e_j, n/d_i): row i is divisor_class_row(n, d_i)."""
+    """The int64 table R[i, j] = c(e_j, n/d_i): one ramanujan_totals row per proper divisor d_i."""
     import numpy as np
 
     if n < 2:
         raise ValueError(f"n must be an integer >= 2, got {n}")
-    return np.array([divisor_class_row(n, d) for d in proper_divisors(n)], dtype=np.int64)
+    divs = divisors(n)
+    return np.array([ramanujan_totals(divs, (n // d,), n) for d in divs[:-1]], dtype=np.int64)
 
 
 def low_table(table: np.ndarray) -> np.ndarray:

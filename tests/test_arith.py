@@ -16,7 +16,7 @@ from icgraph.arith import (
     phi_mu_table,
     prime_factors,
     ramanujan,
-    ramanujan_sums,
+    ramanujan_totals,
 )
 from icgraph.energy import energy_report
 from icgraph.graphs import IcgSpec, class_weights, spectrum
@@ -218,15 +218,15 @@ def test_spectrum_is_one_pass_over_the_table():
         assert spectrum(IcgSpec(n, D)).classes == _spectrum_by_single_values(n, D), (n, D)
 
 
-def test_ramanujan_sums_read_one_table_for_every_divisor():
+def test_ramanujan_totals_read_one_table_for_every_divisor():
     """c(k, m) from the table of a multiple n of m equals c(k, m) from m's own."""
     for n in (1, 12, 97, 360, 720720, 999_999):
         ks = range(-3, 50)
         for m in divisors(n):
-            assert ramanujan_sums(ks, m, n) == tuple(ramanujan(k, m) for k in ks), (n, m)
+            assert ramanujan_totals(ks, (m,), n) == tuple(ramanujan(k, m) for k in ks), (n, m)
     for m, n in ((5, 12), (0, 12), (24, 12), (-6, 12)):
         with pytest.raises(ValueError, match=f"{m} does not divide {n}"):
-            ramanujan_sums((1,), m, n)
+            ramanujan_totals((1,), (m,), n)
 
 
 def test_one_energy_report_factorizes_n_once():

@@ -7,7 +7,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from icgraph import arith, graphs, sweep
+from icgraph import arith, graphs, oracle, sweep
 from icgraph.arith import divisors
 from icgraph.graphs import IcgSpec, adjacency, spectrum
 from icgraph.oracle import (
@@ -36,11 +36,9 @@ def test_oracle_is_independent_of_the_exact_path(monkeypatch):
 
     exact = (
         arith.ramanujan,
-        arith.ramanujan_sums,
         arith.ramanujan_totals,
         arith.phi_mu_table,
         graphs.spectrum,
-        graphs.divisor_class_row,
         graphs.class_index,
     )
     for mod in [m for name, m in sys.modules.items() if name.startswith("icgraph")]:
@@ -56,6 +54,15 @@ def test_oracle_is_independent_of_the_exact_path(monkeypatch):
 def test_spectrum_trig_guard():
     with pytest.raises(ValueError):
         spectrum_trig(IcgSpec(100_002, (1,)))
+
+
+def test_verify_against_trig_rejects_a_large_n_before_any_table(monkeypatch):
+    def refuse(n):
+        raise AssertionError(f"class_table({n}) built for an n the oracle rejects")
+
+    monkeypatch.setattr(oracle, "class_table", refuse)
+    with pytest.raises(ValueError, match=r"^trig oracle limited to n <= 100000, got 100002$"):
+        verify_against_trig(100_002)
 
 
 def test_compare_spectra():
@@ -173,14 +180,14 @@ def test_sampled_masks_beyond_64_bits():
 @pytest.mark.parametrize("n, budget", [(42, 2048), (210, 3 * BLOCK)])
 def test_verify_against_trig_reports_every_faulty_graph(monkeypatch, n, budget):
     """One class eigenvalue off by 1 in ICG_n({1}): every checked set holding 1 fails."""
-    clean = sweep.divisor_class_row
+    clean = sweep.ramanujan_totals
     e = divisors(n)[2]
 
-    def faulty(m, d):
-        row = clean(m, d)
-        return tuple(v + (d == 1 and j == 2) for j, v in enumerate(row))
+    def faulty(ks, moduli, m):
+        row = clean(ks, moduli, m)
+        return tuple(v + (moduli == (m,) and j == 2) for j, v in enumerate(row))
 
-    monkeypatch.setattr(sweep, "divisor_class_row", faulty)
+    monkeypatch.setattr(sweep, "ramanujan_totals", faulty)
     r = verify_against_trig(n, budget=budget)
     total = subset_count(n)
     if total <= budget:

@@ -97,8 +97,12 @@ def test_range_entry_points_reject_n_below_2(search):
 
 
 def test_incremental_spectra_match_direct():
-    """The blocked class products must reproduce every spectrum exactly."""
-    for n in (12, 18, 30, 36):
+    """The blocked class products must reproduce every spectrum exactly.
+
+    60 and 72 have tau' = 11 > LOW_BITS, so their second block carries a
+    high-bit row from class_table on top of the low-table slice.
+    """
+    for n in (12, 18, 30, 36, 60, 72):
         divs = proper_divisors(n)
         for masks, L in iter_class_blocks(n):
             for mask, vec in zip(masks.tolist(), L[:, class_index(n)].tolist()):
@@ -168,3 +172,24 @@ def test_class_block_takes_one_mask_type_in_any_container():
     for given in (masks, list(masks), np.array(masks, dtype=np.int64)):
         assert np.array_equal(mask_bits(given, len(table)), mask_bits(list(masks), len(table)))
         assert np.array_equal(class_block(given, table, low), want)
+
+
+@pytest.mark.parametrize("width", [1, 10, 62, 64, 127, 239])
+def test_mask_bits_reads_bit_j_of_mask_i(width):
+    """Entry [i, j] of mask_bits is bit j of masks[i], whatever holds the masks.
+
+    Up to 62 bits the masks also go in as an int64 array; from 64 bits on
+    they are Python ints too wide for int64.
+    """
+    rng = random.Random(width)
+    top = (1 << width) - 1
+    masks = sorted({0, 1, top, 1 << (width - 1), *(rng.getrandbits(width) for _ in range(60))})
+    step = max(1, top // 50)
+    given = [masks, range(top % step, top + 1, step)]
+    if width <= 62:
+        given.append(np.array(masks, dtype=np.int64))
+    for ms in given:
+        bits = mask_bits(ms, width)
+        assert bits.dtype == np.uint8 and bits.shape == (len(ms), width)
+        want = [[(int(m) >> j) & 1 for j in range(width)] for m in ms]
+        assert bits.tolist() == want, (width, type(ms))
