@@ -19,7 +19,7 @@ for text in ("6:1", "6:1,3", "12:1,4", "30:2,3", "45:1,9"):
     print(f"ICG_{spec.n}({set(spec.divisors)})")
     print(f"  symbol set       {sorted(symbol_set(spec))}")
     print(f"  spectrum (by k)  {list(s.values)}")
-    print(f"  degree = lambda_0 = {s[0]},  sum of spectrum = {sum(s.values)}")
+    print(f"  degree = lambda_0 = {s.values[0]},  sum of spectrum = {sum(s.values)}")
 
     # route 2: cosine sums, rounded
     trig = spectrum_trig(spec)
@@ -27,10 +27,10 @@ for text in ("6:1", "6:1,3", "12:1,4", "30:2,3", "45:1,9"):
 
     # route 3: eigenvalues of the actual 0/1 circulant matrix
     eig = np.linalg.eigvalsh(adjacency(spec))
-    assert np.abs(np.sort(eig) - np.array(s.sorted_values(), float)).max() < 1e-8
+    assert np.abs(np.sort(eig) - np.sort(np.array(s.values, float))).max() < 1e-8
 
     # index symmetry lambda_k = lambda_{n-k}
-    assert all(s[k] == s[spec.n - k] for k in range(1, spec.n))
+    assert all(s.values[k] == s.values[spec.n - k] for k in range(1, spec.n))
     print("  cosine oracle, dense eigensolver and palindrome check all agree")
     print()
 

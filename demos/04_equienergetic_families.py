@@ -11,9 +11,9 @@ n = 2 mod 4 with repeated odd primes q.
 from icgraph import (
     IcgSpec,
     cospectral,
+    energy_report,
     equienergetic_family,
     equienergetic_family_second,
-    hyperenergetic,
     second_spectral_value,
     spectrum,
 )
@@ -50,4 +50,5 @@ for n, p, q in ((30, 2, 3), (30, 3, 5), (105, 3, 5), (105, 5, 7)):
     print(f"  n={n:4d} D={{{p},{q}}}: max |lambda_t| over t >= 1 is {v}")
 
 print()
-print(f"footnote: K_7 itself is not hyperenergetic: {hyperenergetic(IcgSpec(7, (1,)))}")
+print("footnote: K_7 itself is not hyperenergetic: "
+      f"{energy_report(IcgSpec(7, (1,))).hyperenergetic}")

@@ -24,14 +24,13 @@ _EXPORTS = {
               "ramanujan"),
     "closed_forms": ("ClosedFormCase", "Family", "classify_case", "cross_validate",
                      "energy_one_prime_power", "energy_two_primes"),
-    "energy": ("EnergyReport", "energy_report", "hyperenergetic", "lambda_half",
-               "mod4_predicted", "mod4_sweep"),
+    "energy": ("EnergyReport", "energy_report", "lambda_half", "mod4_sweep"),
     "families": ("ExtremalReport", "FamilyReport", "SoReport", "bipartite_extremal_spectrum",
                  "cospectral", "equienergetic_family", "equienergetic_family_second",
                  "min_energy_search", "predicted_min_energy_set", "second_spectral_value",
                  "so_conjecture_check"),
     "graphs": ("IcgSpec", "Spectrum", "adjacency", "component_decomposition", "connectivity",
-               "degree", "parse_spec", "spectrum", "symbol_set", "validate"),
+               "degree", "parse_spec", "spectrum", "symbol_set"),
     "oracle": ("MomentReport", "OracleReport", "compare_spectra", "count_four_cycles",
                "energy_lower_bounds", "moments", "spectrum_trig", "verify_against_trig"),
     "sweep": ("BudgetExceeded", "DEFAULT_BUDGET", "proper_divisors", "subset_count"),

@@ -51,16 +51,6 @@ def _residue_rule(half_in_d, middle):
     return 2 * (half_in_d & (middle < 0))
 
 
-def mod4_predicted(spec: IcgSpec) -> int:
-    """Predicted energy residue mod 4: 0 or 2, per the dichotomy above."""
-    return energy_report(spec).predicted4
-
-
-def hyperenergetic(spec: IcgSpec) -> bool:
-    """True when the energy strictly exceeds that of K_n, i.e. E > 2n - 2."""
-    return energy_report(spec).hyperenergetic
-
-
 @dataclass(frozen=True)
 class EnergyReport:
     """Everything the mod-4 classification needs about one graph."""

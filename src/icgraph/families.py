@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
-from .energy import hyperenergetic
+from .energy import energy_report
 from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_fingerprints
 from .sweep import (
     DEFAULT_BUDGET,
@@ -87,7 +87,8 @@ def _family_report(n: int, members: list[IcgSpec], expected: int) -> FamilyRepor
             raise ArithmeticError(f"members {a} and {b} are cospectral")
     matrix = tuple(tuple(k == other for other in keys) for k in keys)
     # the members share n and (checked above) their energy, so one answers for all
-    return FamilyReport(n, tuple(members), expected, matrix, hyperenergetic(members[0]))
+    return FamilyReport(n, tuple(members), expected, matrix,
+                        energy_report(members[0]).hyperenergetic)
 
 
 def equienergetic_family(n: int) -> FamilyReport:
@@ -154,8 +155,6 @@ def second_spectral_value(n: int, p_i: int, p_j: int) -> int:
     if p_i == p_j or p_i not in primes or p_j not in primes:
         raise ValueError(f"{p_i}, {p_j} must be distinct primes dividing {n}")
     m = n // (p_i * p_j)
-    if m == 1:
-        raise ValueError("n/(p_i*p_j) = 1: no third prime to anchor the formula")
     p_ij = prime_factors(m)[0]
     best = max(
         Fraction(p_i + p_j - 2, euler_phi(p_ij)),

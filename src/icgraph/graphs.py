@@ -26,7 +26,7 @@ expanded only when a caller asks for it.
 The package loads a submodule when one of its names is first used, and
 every module imports numpy inside the functions that use it; the
 single-graph path uses none of them: spectrum, energy, moments,
-class lookups, the cospectral key and sorted_values, cospectral, the two
+class lookups, the cospectral key, cospectral, the two
 equienergetic family constructions and the CLI's family verb.  Importing
 numpy loads OpenBLAS, whose worker thread busy-waits after start-up: about
 0.1 s of CPU on a 2-core x86 VM, over a hundred times what one
@@ -94,11 +94,6 @@ class IcgSpec:
         return self.canonical()
 
 
-def validate(n: int, divisor_set) -> IcgSpec:
-    """Validate (n, D) and return the canonical IcgSpec."""
-    return IcgSpec(n, tuple(divisor_set))
-
-
 def parse_spec(text: str) -> IcgSpec:
     """Parse the canonical form "n:d1,d2,...,dk" (strictly ascending divisors)."""
     head, sep, tail = text.partition(":")
@@ -120,7 +115,8 @@ class Spectrum:
 
     classes[i] is lambda_e for e = divisors(n)[i]: the eigenvalue at every
     index k with gcd(k, n) = e, so it occurs phi(n/e) times.  The index-ordered
-    spectrum (lambda_0 .. lambda_{n-1}) is a view expanded on first use.
+    spectrum (lambda_0 .. lambda_{n-1}) is the one view, `values`, expanded
+    on first use; a Spectrum is not itself a sequence.
     """
 
     n: int
@@ -145,15 +141,6 @@ class Spectrum:
 
         return tuple(np.array(self.classes, dtype=np.int64)[class_index(self.n)].tolist())
 
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self):
-        return iter(self.values)
-
-    def __getitem__(self, j: int) -> int:
-        return self.values[j]
-
     def energy(self) -> int:
         """sum of |lambda_k| over k = 0..n-1, i.e. sum phi(n/e) |lambda_e|."""
         return sum(m * abs(v) for v, m in zip(self.classes, self.multiplicities))
@@ -172,10 +159,6 @@ class Spectrum:
         for v, m in zip(self.classes, self.multiplicities):
             counts[v] = counts.get(v, 0) + m
         return tuple(sorted(counts.items()))
-
-    def sorted_values(self) -> tuple[int, ...]:
-        """Eigenvalues as a sorted tuple; the multiset key for cospectrality."""
-        return tuple(v for v, m in self.cospectral_key() for _ in range(m))
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
@@ -275,7 +258,5 @@ def component_decomposition(spec: IcgSpec) -> tuple[int, IcgSpec]:
     d = connectivity(spec)
     if d == 1:
         return 1, spec
-    if spec.n // d < 2:
-        raise ValueError(f"degenerate quotient: n/d = {spec.n // d}")
     quotient = IcgSpec(spec.n // d, tuple(x // d for x in spec.divisors))
     return d, quotient

@@ -8,10 +8,8 @@ import pytest
 from icgraph.energy import (
     energy,
     energy_report,
-    hyperenergetic,
     lambda_half,
     mod4_blocks,
-    mod4_predicted,
     mod4_sweep,
 )
 from icgraph.graphs import IcgSpec, class_index, spectrum
@@ -67,9 +65,9 @@ def test_middle_and_degree_have_equal_parity():
 
 
 def test_mod4_predicted():
-    assert mod4_predicted(IcgSpec(9, (1,))) == 0  # odd n: always 0
-    assert mod4_predicted(IcgSpec(4, (1, 2))) == 2  # 2 in D, lambda_2 = -1
-    assert mod4_predicted(IcgSpec(6, (1,))) == 0  # 3 not in D
+    assert energy_report(IcgSpec(9, (1,))).predicted4 == 0  # odd n: always 0
+    assert energy_report(IcgSpec(4, (1, 2))).predicted4 == 2  # 2 in D, lambda_2 = -1
+    assert energy_report(IcgSpec(6, (1,))).predicted4 == 0  # 3 not in D
 
 
 def test_six_cycle_boundary_case():
@@ -83,7 +81,7 @@ def test_six_cycle_boundary_case():
     assert energy(spec) % 4 == 0
     assert 3 not in spec.divisors
     assert lambda_half(spec) == -2
-    assert mod4_predicted(spec) == 0
+    assert energy_report(spec).predicted4 == 0
 
 
 def test_middle_eigenvalue_odd_when_half_in_d():
@@ -98,9 +96,9 @@ def test_middle_eigenvalue_odd_when_half_in_d():
 
 
 def test_hyperenergetic():
-    assert not hyperenergetic(IcgSpec(4, (1, 2)))  # ties K_n, not strictly above
-    assert not hyperenergetic(IcgSpec(6, (1, 3)))
-    assert hyperenergetic(IcgSpec(30, (2, 3)))  # 64 > 58
+    assert not energy_report(IcgSpec(4, (1, 2))).hyperenergetic  # ties K_n, not strictly above
+    assert not energy_report(IcgSpec(6, (1, 3))).hyperenergetic
+    assert energy_report(IcgSpec(30, (2, 3))).hyperenergetic  # 64 > 58
 
 
 def test_energy_report_even():

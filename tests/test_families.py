@@ -254,6 +254,6 @@ def test_bipartite_extremal_spectrum():
     assert bipartite_extremal_spectrum(2).values == (1, -1)
     assert bipartite_extremal_spectrum(6).values == (3, 0, 0, -3, 0, 0)
     s = bipartite_extremal_spectrum(12)
-    assert s[0] == 6 and s[6] == -6 and sum(v != 0 for v in s.values) == 2
+    assert s.values[0] == 6 and s.values[6] == -6 and sum(v != 0 for v in s.values) == 2
     with pytest.raises(ValueError):
         bipartite_extremal_spectrum(9)

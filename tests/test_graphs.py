@@ -19,7 +19,6 @@ from icgraph.graphs import (
     parse_spec,
     spectrum,
     symbol_set,
-    validate,
 )
 
 
@@ -27,7 +26,7 @@ def test_spec_validation_accepts_and_canonicalizes():
     spec = IcgSpec(12, (4, 1, 2))
     assert spec.divisors == (1, 2, 4)
     assert spec.canonical() == "12:1,2,4"
-    assert validate(6, [3, 1]) == IcgSpec(6, (1, 3))
+    assert IcgSpec(6, [3, 1]) == IcgSpec(6, (1, 3))
 
 
 def test_spec_validation_rejects_bad_input():
@@ -142,10 +141,10 @@ def test_adjacency_guard():
         adjacency(IcgSpec(20002, (1,)))
 
 
-def test_sorted_values_is_the_multiset_key():
+def test_cospectral_key_is_the_multiset_key():
     s = spectrum(IcgSpec(6, (1, 3)))
-    assert s.sorted_values() == (-3, 0, 0, 0, 0, 3)
-    assert len(s) == 6 and s[0] == 3 and list(s)[3] == -3
+    assert s.cospectral_key() == ((-3, 1), (0, 4), (3, 1))
+    assert len(s.values) == 6 and s.values[0] == 3 and s.values[3] == -3
 
 
 def test_connectivity():
@@ -160,6 +159,7 @@ def test_component_decomposition():
     assert (d, q) == (2, IcgSpec(6, (1, 2)))
     d, q = component_decomposition(IcgSpec(18, (6,)))
     assert (d, q) == (6, IcgSpec(3, (1,)))
+    assert component_decomposition(IcgSpec(10, (5,))) == (5, IcgSpec(2, (1,)))
     spec = IcgSpec(10, (1, 2))
     assert component_decomposition(spec) == (1, spec)
 
@@ -188,8 +188,8 @@ def test_single_graph_path_does_not_load_numpy():
         "assert spectrum(spec).moment(1) == 0\n"
         "closed_forms.energy_two_primes(30030, 7, 11)\n"
         "assert not cospectral(spec, IcgSpec(30030, (1, 11)))\n"
-        "values = spectrum(spec).sorted_values()\n"
-        "assert len(values) == spec.n and values[-1] == spectrum(spec).at(spec.n)\n"
+        "key = spectrum(spec).cospectral_key()\n"
+        "assert sum(m for _, m in key) == spec.n and key[-1][0] == spectrum(spec).at(spec.n)\n"
         "equienergetic_family(30)\n"
         "equienergetic_family_second(450)\n"
         "assert icgraph.cli.main(['family', '30']) == 0\n"
