@@ -16,8 +16,8 @@ multiplicative pass from one factorization of n, it holds every divisor of
 n in increasing order with its phi and mu, so divisors(n) is its keys and
 the class weights phi(n/e) are its phi column reversed.  ramanujan_totals
 evaluates the closed form from that table alone, for the sum over a whole
-set of moduli in one pass; euler_phi and mobius factorize their own
-argument and serve single values.
+set of moduli in one pass; euler_phi and mobius serve single values,
+uncached, each a short loop over the cached factorize of its argument.
 """
 
 from __future__ import annotations
@@ -26,9 +26,9 @@ from functools import lru_cache
 from math import gcd
 from types import MappingProxyType
 
-# Entries per cache of single values.  One n calls each cached function on at
-# most its tau(n) divisors, and tau(n) <= 6720 for n <= 10^12, so one n's
-# working set always fits while a long sweep over many n stays bounded.
+# Entries in the cache of factorize.  One n factorizes at most its tau(n)
+# divisors, and tau(n) <= 6720 for n <= 10^12, so one n's working set
+# always fits while a long sweep over many n stays bounded.
 CACHE_SIZE = 1 << 13
 # Entries per cache of whole per-n tables (divisors, phi_mu_table,
 # graphs.class_weights, sweep._low_texts).  A call works on the tables of one
@@ -74,7 +74,6 @@ def is_prime(n: int) -> bool:
     return n >= 2 and factorize(n) == ((n, 1),)
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def euler_phi(n: int) -> int:
     """Euler's totient: the number of 1 <= a <= n coprime to n."""
     _check_positive(n)
@@ -84,7 +83,6 @@ def euler_phi(n: int) -> int:
     return result
 
 
-@lru_cache(maxsize=CACHE_SIZE)
 def mobius(n: int) -> int:
     """Möbius function: 0 if n has a squared prime factor, else (-1)^(#primes)."""
     _check_positive(n)

@@ -1,8 +1,8 @@
 """Command-line frontend.
 
 Every verb wraps exactly one library operation and serializes its result;
-no math happens here.  Output is JSON lines by default (one object per
-result, compact separators) or CSV with --format csv.
+no math happens here, not even mod4-sweep's verdicts.  Output is JSON lines
+by default (one object per result, compact separators) or CSV with --format csv.
 
 The range verbs (mod4-sweep, so-check, min-energy, verify-oracle) check the
 whole range before writing a row, then write rows as they are produced:
@@ -10,9 +10,9 @@ whole range before writing a row, then write rows as they are produced:
 _emit writes dict rows, one string per row, in either format; every verb but
 mod4-sweep writes through it.  mod4-sweep has a row per divisor set, so it
 has its own writer, _emit_mod4, which takes blocks of up to 1024 sets as
-(names, energies, codes) and writes each block as one string; the three
-mod-4 fields of a row take 16 joint values, and the text of each is
-rendered once.
+(names, energies, codes, failed) and writes each block as one string; the
+16 joint values of a row's three mod-4 fields are rendered once each, and
+failed is the spec_names of the masks that energy.mod4_sweep would report.
 
 A verb imports the modules it needs when it runs (closed_forms, families,
 oracle, csv), so building the parser loads none of them and a mod4-sweep
@@ -137,7 +137,7 @@ def _emit(rows, fmt: str) -> None:
 
 
 def _emit_mod4(blocks, fmt: str) -> None:
-    """Write mod4-sweep's (names, energies, codes) blocks, one string per block.
+    """Write mod4-sweep's (names, energies, codes, failed) blocks, one string per block.
 
     A row is spec, energy, residue4, predicted4 and match; its code is
     4 * residue4 + predicted4, so the three mod-4 fields take 16 joint
@@ -149,7 +149,7 @@ def _emit_mod4(blocks, fmt: str) -> None:
         # a spec name holds only digits, ':' and ',', so it needs no escaping
         json_tails = [f',"residue4":{r},"predicted4":{p},"match":{json.dumps(m)}}}\n'
                       for r, p, m in tails]
-        for names, energies, codes in blocks:
+        for names, energies, codes, _ in blocks:
             sys.stdout.write("".join(chain.from_iterable(zip(
                 repeat('{"spec":"'), names, repeat('","energy":'), map(str, energies),
                 map(json_tails.__getitem__, codes)))))
@@ -159,7 +159,7 @@ def _emit_mod4(blocks, fmt: str) -> None:
         writer = csv.writer(sys.stdout, lineterminator="\n")
         writer.writerow(("spec", "energy", "residue4", "predicted4", "match"))
         csv_tails = [tuple(map(_csv_cell, tail)) for tail in tails]
-        for names, energies, codes in blocks:
+        for names, energies, codes, _ in blocks:
             writer.writerows(map(tuple.__add__, zip(names, energies),
                                  map(csv_tails.__getitem__, codes)))
 
@@ -212,14 +212,11 @@ def _run_range(args, write, check, items, failed, message) -> int:
 def cmd_mod4_sweep(args) -> int:
     def blocks(n):
         for masks, energies, residues, predicted in mod4_blocks(n, args.budget):
-            yield spec_names(n, masks), energies.tolist(), (4 * residues + predicted).tolist()
-
-    def failed(block):
-        names, _, codes = block
-        return [name for name, code in zip(names, codes) if code // 4 != code % 4]
+            yield (spec_names(n, masks), energies.tolist(), (4 * residues + predicted).tolist(),
+                   spec_names(n, masks[residues != predicted]))
 
     return _run_range(
-        args, _emit_mod4, lambda n: check_budget(n, args.budget), blocks, failed,
+        args, _emit_mod4, lambda n: check_budget(n, args.budget), blocks, lambda block: block[3],
         lambda bad: f"counterexamples: {' '.join(bad)}",
     )
 

@@ -15,8 +15,8 @@ no exceptions.
 
 The sweep has one definition, mod4_blocks: energies, residues and
 predictions of a block of divisor sets at a time, as arrays.  mod4_sweep
-counts and names violations from it, and the CLI formats its rows a block
-at a time.
+and the CLI name a block's masks whose residue is off the prediction with
+sweep.spec_names, and the CLI formats its rows a block at a time.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 from .arith import divisors, euler_phi
 from .graphs import IcgSpec, block_energies, spectrum
-from .sweep import DEFAULT_BUDGET, divisor_mask, iter_class_blocks, mask_divisors, proper_divisors
+from .sweep import DEFAULT_BUDGET, divisor_mask, iter_class_blocks, spec_names
 
 
 def energy(spec: IcgSpec) -> int:
@@ -49,6 +49,11 @@ def _residue_rule(half_in_d, middle):
     Works on plain bools and ints, and elementwise on numpy arrays.
     """
     return 2 * (half_in_d & (middle < 0))
+
+
+def is_hyperenergetic(n: int, e: int) -> bool:
+    """True iff energy e on n vertices exceeds E(K_n) = 2n - 2."""
+    return e > 2 * n - 2
 
 
 @dataclass(frozen=True)
@@ -93,7 +98,7 @@ def energy_report(spec: IcgSpec) -> EnergyReport:
         predicted4=_residue_rule(half_in_d, middle) if even else 0,
         lambda_half=middle,
         half_in_D=half_in_d,
-        hyperenergetic=e > 2 * spec.n - 2,
+        hyperenergetic=is_hyperenergetic(spec.n, e),
     )
 
 
@@ -128,11 +133,9 @@ class Mod4Summary:
 
 def mod4_sweep(n: int, budget: int = DEFAULT_BUDGET) -> Mod4Summary:
     """Check residue4 == predicted4 over every divisor set of n."""
-    divs = proper_divisors(n)
     sets = 0
     bad = []
     for masks, _, residues, predicted in mod4_blocks(n, budget):
         sets += len(masks)
-        for mask in masks[residues != predicted].tolist():
-            bad.append(IcgSpec(n, mask_divisors(mask, divs)).canonical())
+        bad += spec_names(n, masks[residues != predicted])
     return Mod4Summary(n, sets, tuple(bad))

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
-from .energy import energy_report
+from .energy import is_hyperenergetic
 from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_fingerprints
 from .sweep import (
     DEFAULT_BUDGET,
@@ -87,8 +87,7 @@ def _family_report(n: int, members: list[IcgSpec], expected: int) -> FamilyRepor
             raise ArithmeticError(f"members {a} and {b} are cospectral")
     matrix = tuple(tuple(k == other for other in keys) for k in keys)
     # the members share n and (checked above) their energy, so one answers for all
-    return FamilyReport(n, tuple(members), expected, matrix,
-                        energy_report(members[0]).hyperenergetic)
+    return FamilyReport(n, tuple(members), expected, matrix, is_hyperenergetic(n, expected))
 
 
 def equienergetic_family(n: int) -> FamilyReport:

@@ -32,7 +32,6 @@ from typing import TYPE_CHECKING
 
 from .graphs import IcgSpec, class_index, spectrum
 from .sweep import (
-    BLOCK,
     class_block,
     class_table,
     low_table,
@@ -142,10 +141,11 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
 
     Exhaustive when n has at most `budget` nonempty subsets; otherwise a
     deterministic sample of `budget` subsets (seeded by n) is used.  The
-    masks go in parts of at most BLOCK masks and FFT_CELLS cells; the exact
-    side of a part is its class-eigenvalue block, expanded to index order,
-    and the trig side is one FFT.  Raises ValueError when budget < 1 or when
-    n is too large for the trig oracle, before any table is built.
+    masks go in parts of max(1, FFT_CELLS // n); the exact side of a part
+    is its class-eigenvalue block in index order, the trig side one FFT.
+    Sets are named through IcgSpec, not the sweep's text tables.  Raises
+    ValueError when budget < 1 or when n is too large for the trig oracle,
+    before any table is built.
     """
     if budget < 1:
         raise ValueError(f"budget must be at least 1, got {budget}")
@@ -163,7 +163,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
         return IcgSpec(n, mask_divisors(mask, divs)).canonical()
 
     index = class_index(n)
-    rows = min(BLOCK, max(1, FFT_CELLS // n))
+    rows = max(1, FFT_CELLS // n)
     worst, worst_spec, worst_index = 0.0, None, 0
     failures: list[str] = []
     for lo in range(0, len(masks), rows):

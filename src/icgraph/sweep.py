@@ -154,10 +154,12 @@ def _low_texts(divs: tuple[int, ...]) -> tuple[str, ...]:
 def spec_names(n: int, masks) -> list[str]:
     """Canonical text "n:d1,d2,..." of the divisor set of each mask of one block.
 
-    The masks must share their bits above the low LOW_BITS, as the masks of
-    one iter_class_blocks block do.  The text of the low bits comes from a
-    table of 2^LOW_BITS strings per n, the high bits are written once.
+    The masks must share their bits above the low LOW_BITS, as any subset of
+    one iter_class_blocks block does (none: no names).  The text of the low
+    bits comes from a table of 2^LOW_BITS strings per n, the high bits once.
     """
+    if not len(masks):
+        return []
     divs = proper_divisors(n)
     low = _low_texts(divs[:LOW_BITS])
     lows = (masks & (BLOCK - 1)).tolist()

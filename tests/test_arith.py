@@ -240,7 +240,7 @@ def test_one_energy_report_factorizes_n_once():
 
 
 def test_caches_are_bounded_and_hold_one_n():
-    caches = (factorize, euler_phi, mobius, divisors, phi_mu_table)
+    caches = (factorize, divisors, phi_mu_table)
     assert all(f.cache_info().maxsize is not None for f in caches)
     spec = IcgSpec(720720, (1, 2, 3, 360360))  # tau(720720) = 240
     energy_report(spec)

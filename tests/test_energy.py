@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from icgraph import cli
 from icgraph.energy import (
     energy,
     energy_report,
@@ -129,20 +130,25 @@ def test_mod4_sweep_clean_small():
         assert s.sets == subset_count(n)
 
 
-def test_mod4_sweep_names_each_violation(monkeypatch):
+def test_mod4_sweep_names_each_violation(monkeypatch, capsys):
     energy_module = importlib.import_module("icgraph.energy")  # icgraph.energy is the function
     blocks = energy_module.mod4_blocks
 
     def wrong(n, budget):
         for masks, energies, residues, predicted in blocks(n, budget):
+            assert spec_names(n, masks[:0]) == []
             yield masks, energies, residues, predicted + (masks % 1000 == 3)
 
     monkeypatch.setattr(energy_module, "mod4_blocks", wrong)
-    s = mod4_sweep(120)
+    monkeypatch.setattr(cli, "mod4_blocks", wrong)
+    s = mod4_sweep(120)  # 2^15 - 1 sets: 32 blocks, most with no violation
     assert s.sets == subset_count(120)
     divs = proper_divisors(120)
     expect = [m for m in range(1, s.sets + 1) if m % 1000 == 3]
     assert s.violations == tuple(IcgSpec(120, mask_divisors(m, divs)).canonical() for m in expect)
+    # the CLI reports the library's counterexamples, in the same order
+    assert cli.main(["mod4-sweep", "120"]) == 2
+    assert capsys.readouterr().err == f"counterexamples: {' '.join(s.violations)}\n"
 
 
 def test_block_spec_names_are_canonical():

@@ -31,6 +31,22 @@ def test_first_family_n30():
             assert flag == (i == j)
 
 
+def test_family_builds_one_spectrum_per_member(monkeypatch):
+    # graphs.spectrum calls ramanujan_totals once per graph
+    totals = graphs.ramanujan_totals
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return totals(*args)
+
+    monkeypatch.setattr(graphs, "ramanujan_totals", counted)
+    for build, n in ((equienergetic_family, 30), (equienergetic_family_second, 450)):
+        calls.clear()
+        members = build(n).members
+        assert len(calls) == len(members), n
+
+
 def test_first_family_n15():
     r = equienergetic_family(15)
     assert [m.canonical() for m in r.members] == ["15:1", "15:3,5"]

@@ -29,6 +29,19 @@ from icgraph.sweep import (
 )
 
 
+def test_class_table_rows_sum_to_the_complete_graph():
+    # D = every proper divisor is K_n, with class eigenvalues r = (-1, ..., -1, n - 1),
+    # so L(D) + L(complement of D) = r for every D
+    for n in range(2, 3001):
+        r = [-1] * len(divisors(n))
+        r[-1] = n - 1
+        table = class_table(n)
+        assert table.sum(axis=0).tolist() == r, n
+        if len(table) <= LOW_BITS:  # low row m + low row (all bits) ^ m
+            low = low_table(table)
+            assert ((low + low[::-1]) == r).all(), n
+
+
 def test_proper_divisors():
     assert proper_divisors(12) == (1, 2, 3, 4, 6)
     assert proper_divisors(2) == (1,)
