@@ -8,9 +8,13 @@ Highlights:
 * an exact formula for the second-largest |eigenvalue| of ICG_n({p_i,p_j})
   on square-free n;
 * exhaustive support for the conjecture that distinct divisor sets are
-  never cospectral: a 64-bit spectrum fingerprint per set (8 bytes each)
-  filters the candidates, and only sets whose fingerprint repeats are
-  checked again with their exact cospectral keys;
+  never cospectral: a 64-bit spectrum fingerprint (8 bytes) per set of
+  degree <= (n - 1)/2 filters the candidates, and only sets whose
+  fingerprint repeats are checked again with their exact cospectral keys,
+  together with their complements.  The sets of larger degree are covered
+  by the complement theorem, not by enumeration: ICG_n(D') for the
+  complement D' of D is the complement graph of ICG_n(D), and two regular
+  graphs of one degree are cospectral exactly when their complements are;
 * exhaustive minimum-energy search with the known/conjectured extremal
   values attached (even n: minimum n, attained by the all-odd-divisors
   set, which is a complete bipartite K_{n/2,n/2}; odd n: conjectured
@@ -30,7 +34,14 @@ from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
 from .energy import is_hyperenergetic
-from .graphs import IcgSpec, Spectrum, block_energies, spectrum, spectrum_fingerprints
+from .graphs import (
+    IcgSpec,
+    Spectrum,
+    block_energies,
+    class_weights,
+    spectrum,
+    spectrum_fingerprints,
+)
 from .sweep import (
     DEFAULT_BUDGET,
     check_budget,
@@ -187,37 +198,90 @@ class SoReport:
         }
 
 
+def _sets_of_degree(n: int, degree: int) -> int:
+    """How many divisor sets of n have the given degree, counted without enumerating.
+
+    The degree of D is the sum of phi(n/d) over d in D, so the count is the
+    coefficient of x^degree in the product of (1 + x^phi(n/d)) over the
+    proper divisors d (degree 0 counts the empty set).  The product is one
+    Python int with a slot of tau'(n) + 1 bits per power of x, wider than
+    any coefficient (< 2^tau'(n)).
+    """
+    weights = class_weights(n)[:-1]  # phi(n/d) for each proper divisor d
+    slot = len(weights) + 1
+    poly = 1
+    for w in weights:
+        poly += poly << slot * w
+    return poly >> slot * degree & (1 << slot) - 1
+
+
 def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     """Group every divisor set of n by spectrum multiset; report any clash.
 
     The conjecture being probed says distinct divisor sets are never
-    cospectral, so `collisions` is expected to stay empty.  A first pass
-    keeps one 64-bit spectrum fingerprint per set (8 bytes each) and sorts
-    them; only when a fingerprint repeats does a second pass compare the
-    exact cospectral keys of the sets whose fingerprint repeats.  Cospectral
-    sets share a fingerprint, so a fingerprint collision costs time but
-    cannot change the answer.  Each collision group lists its masks
-    ascending, and the groups are ordered by their smallest mask.
+    cospectral, so `collisions` is expected to stay empty.
+
+    Only the sets of degree at most (n - 1)/2 (the last class, L[:, -1])
+    are examined.  The complement D' of D names the complement graph, so
+    L(D') = r - L(D) with r = (-1, ..., -1, n - 1), and two regular graphs
+    of one degree are cospectral exactly when their complements are; every
+    cospectral group of larger degree is thus the complement of an examined
+    one.  Those are 2^(tau'(n) - 1) - 1 sets, plus half of the sets of
+    degree exactly (n - 1)/2 (both members of each such complement pair
+    are examined); _sets_of_degree counts them before the first block.
+
+    A first pass keeps one 64-bit spectrum fingerprint per examined set
+    (8 bytes each) and sorts them; only when a fingerprint repeats does a
+    second pass take the exact cospectral keys of the examined sets whose
+    fingerprint repeats, of their complement rows r - row (mask m ^ sets),
+    and of the full set (r, the complement of the empty set).  A group of
+    complements is reported only after graphs.spectrum confirms the key of
+    every member, so a fault in the examined rows cannot invent a partner.
+    Cospectral sets share a fingerprint, so a fingerprint collision costs
+    time but cannot change the answer.  `sets` still counts every divisor
+    set.  Each collision group lists its masks ascending, and the groups
+    are ordered by their smallest mask.
     """
     import numpy as np
 
-    sets = check_budget(n, budget)
-    fps = np.empty(sets, dtype=np.uint64)
+    sets = check_budget(n, budget)  # also the mask of the full set
+    half = (n - 1) // 2
+    twins = _sets_of_degree(n, half) if n % 2 else 0  # the sets of degree (n - 1)/2
+    fps = np.empty((sets - 1 - twins) // 2 + twins, dtype=np.uint64)
+    filled = 0
     for masks, L in iter_class_blocks(n, budget):
-        fps[masks[0] - 1 : masks[-1]] = spectrum_fingerprints(L, n)
+        part = spectrum_fingerprints(L, n, L[:, -1] <= half)
+        fps[filled : filled + len(part)] = part
+        filled += len(part)
     fps.sort()
     repeats = fps[1:][fps[1:] == fps[:-1]]  # sorted, with duplicates; isin needs neither
     del fps
-    groups: dict[tuple, list[int]] = {}  # exact key -> its masks, ascending
-    if len(repeats):
-        for masks, L in iter_class_blocks(n, budget):
-            rows = np.isin(spectrum_fingerprints(L, n), repeats)
-            for mask, row in zip(masks[rows].tolist(), L[rows].tolist()):
-                groups.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
+    groups: dict[tuple, list[int]] = {}  # exact key -> its examined masks, ascending
+    complements: dict[tuple, list[int]] = {}  # exact key of r - row -> its masks
     divs = proper_divisors(n)
+    if len(repeats):
+        r = (-1,) * len(divs) + (n - 1,)  # the row of the full set, the empty set's complement
+        complements[Spectrum(n, r).cospectral_key()] = [sets]
+        for masks, L in iter_class_blocks(n, budget):
+            keep = L[:, -1] <= half
+            keep[keep] = np.isin(spectrum_fingerprints(L, n, keep), repeats)
+            masks, L = masks[keep], L[keep]  # the examined rows whose fingerprint repeats
+            for mask, row in zip(masks.tolist(), L.tolist()):
+                groups.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
+            # a set of degree (n - 1)/2 has its complement in the examined half
+            below = 2 * L[:, -1] < n - 1
+            for mask, row in zip((masks[below] ^ sets).tolist(), (r - L[below]).tolist()):
+                complements.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
+    found = [g for g in groups.values() if len(g) > 1]
+    found += [
+        sorted(g)
+        for key, g in complements.items()
+        if len(g) > 1
+        and all(spectrum(IcgSpec(n, mask_divisors(m, divs))).cospectral_key() == key for m in g)
+    ]
     collisions = tuple(
         tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in group)
-        for group in sorted(g for g in groups.values() if len(g) > 1)
+        for group in sorted(found)
     )
     return SoReport(n, sets, collisions)
 

@@ -186,10 +186,13 @@ def block_energies(L: np.ndarray, n: int) -> np.ndarray:
 
 
 def _mix64(z: np.ndarray) -> np.ndarray:
-    """The splitmix64 finalizer, elementwise on a uint64 array (wraps mod 2^64)."""
+    """The splitmix64 finalizer, elementwise on a uint64 array (wraps mod 2^64).
+
+    z is mixed in place and returned; each shift takes one temporary array.
+    """
     import numpy as np
 
-    z = z ^ (z >> np.uint64(30))
+    z ^= z >> np.uint64(30)
     z *= np.uint64(0xBF58476D1CE4E5B9)
     z ^= z >> np.uint64(27)
     z *= np.uint64(0x94D049BB133111EB)
@@ -197,17 +200,23 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def spectrum_fingerprints(L: np.ndarray, n: int) -> np.ndarray:
+def spectrum_fingerprints(L: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
     """A uint64 hash of the spectrum multiset of each row of class eigenvalues L.
 
     Rows with equal Spectrum.cospectral_key give equal fingerprints; the
     converse can fail, so a fingerprint only filters candidates for the exact
     key.  It is the sum over all n eigenvalues of a 64-bit mix of each,
     sum phi(n/e) mix(lambda_e) mod 2^64, which depends on the multiset alone.
+    With rows, a boolean array over the rows of L, only the rows it selects
+    are fingerprinted.  The fingerprint takes one uint64 copy of those rows
+    (the same bits as L, read mod 2^64) and mixes it in place, so L is left
+    unchanged and a block costs no second copy.
     """
     import numpy as np
 
-    return _mix64(L.astype(np.uint64)) @ np.array(class_weights(n), dtype=np.uint64)
+    z = np.asarray(L, dtype=np.int64).view(np.uint64)
+    z = z.copy() if rows is None else z.compress(rows, axis=0)
+    return _mix64(z) @ np.array(class_weights(n), dtype=np.uint64)
 
 
 def spectrum(spec: IcgSpec) -> Spectrum:

@@ -303,7 +303,7 @@ def test_range_that_fails_late_writes_no_row(capsys, argv, code, message):
 
 
 def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
-    # 2^59 - 1 fingerprints of 8 bytes each: 4 EiB, which no allocator can grant
+    # 2^58 - 1 fingerprints of 8 bytes each: 2 EiB, which no allocator can grant
     code, out, err = run(capsys, "so-check", "5040", "--budget", str(2**62))
     assert (code, out) == (1, "")
     assert err.startswith("icgraph: error: ") and err.count("\n") == 1, err

@@ -17,7 +17,13 @@ from icgraph.families import (
     so_conjecture_check,
 )
 from icgraph.graphs import IcgSpec, class_index, spectrum
-from icgraph.sweep import BudgetExceeded, mask_divisors, proper_divisors, subset_count
+from icgraph.sweep import (
+    BudgetExceeded,
+    class_table,
+    mask_divisors,
+    proper_divisors,
+    subset_count,
+)
 
 
 def test_first_family_n30():
@@ -211,7 +217,7 @@ def test_so_check_orders_several_groups(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-@pytest.mark.parametrize("n", [36, 60, 120])
+@pytest.mark.parametrize("n", [36, 60, 105, 120])
 def test_so_check_fingerprint_is_only_a_filter(monkeypatch, n):
     # with a constant mixer every set shares one fingerprint, so the exact
     # keys of all of them decide the answer
@@ -227,6 +233,99 @@ def test_so_check_fingerprint_is_only_a_filter(monkeypatch, n):
     r = so_conjecture_check(n)
     assert (r.sets, r.collisions) == (subset_count(n), ())
     assert len(checked) == subset_count(n)
+
+
+def subset_degrees(n):
+    """The degree of every divisor set of n by mask, mask 0 (the empty set) included.
+
+    Sums of the degree column of class_table(n), built by doubling as masks
+    count up; it shares no code with families._sets_of_degree.
+    """
+    degrees = np.zeros(1, dtype=np.int64)
+    for phi in class_table(n)[:, -1]:
+        degrees = np.concatenate([degrees, degrees + phi])
+    return degrees
+
+
+def test_sets_of_degree_counts_every_degree():
+    for n in range(2, 101):
+        counts = np.bincount(subset_degrees(n), minlength=n)  # the empty set at degree 0
+        assert [families._sets_of_degree(n, k) for k in range(n)] == counts.tolist(), n
+
+
+def test_sets_of_degree_half_only_at_105_and_165():
+    # for odd n every phi(n/d) is even, so a degree of exactly (n - 1)/2
+    # needs n == 1 (mod 4); below 400 only two n have such sets, one
+    # complement pair each
+    found = {}
+    for n in range(3, 400, 2):
+        degrees = subset_degrees(n)[1:]
+        twins = int((2 * degrees == n - 1).sum())
+        assert families._sets_of_degree(n, (n - 1) // 2) == twins, n
+        if twins:
+            assert n % 4 == 1
+            found[n] = twins
+    assert found == {105: 2, 165: 2}
+
+
+def test_so_check_fingerprints_each_low_degree_set_once(monkeypatch):
+    # no fingerprint repeats for n <= 200, so only the first pass fingerprints
+    fingerprint = families.spectrum_fingerprints
+    degrees = []
+
+    def recorded(L, n, rows=None):
+        picked = L if rows is None else L[rows]
+        degrees.extend(picked[:, -1].tolist())
+        return fingerprint(L, n, rows)
+
+    monkeypatch.setattr(families, "spectrum_fingerprints", recorded)
+    for n in range(2, 201):
+        degrees.clear()
+        assert so_conjecture_check(n).sets == subset_count(n)
+        low = subset_degrees(n)[1:]
+        low = low[2 * low <= n - 1]
+        assert sorted(degrees) == sorted(low.tolist()), n
+        twins = int((2 * low == n - 1).sum())
+        assert len(degrees) == 2 ** (len(proper_divisors(n)) - 1) - 1 + twins // 2, n
+        if n in (105, 165):
+            assert twins == 2  # both members of the complement pair are examined
+
+
+@pytest.mark.filterwarnings("error")
+def test_so_check_reports_a_confirmed_complement_group(monkeypatch):
+    # a forged pair of low degree has a complement pair whose rows r - row
+    # agree too; it is reported only once graphs.spectrum confirms them
+    n, src, dst = 120, 20480, 24576  # {30, 60} and {40, 60}, degree 3 each
+    full = subset_count(n)
+    inject_copies(monkeypatch, {dst: src})
+    assert so_conjecture_check(n).collisions == (names(n, (src, dst)),)
+
+    divs = proper_divisors(n)
+    true_spectrum = families.spectrum
+
+    def forged(spec):
+        if spec == IcgSpec(n, mask_divisors(dst ^ full, divs)):
+            spec = IcgSpec(n, mask_divisors(src ^ full, divs))
+        return true_spectrum(spec)
+
+    monkeypatch.setattr(families, "spectrum", forged)
+    # the complement group (8191, 12287) has the smaller smallest mask
+    assert so_conjecture_check(n).collisions == (
+        names(n, (dst ^ full, src ^ full)),
+        names(n, (src, dst)),
+    )
+
+
+@pytest.mark.filterwarnings("error")
+def test_so_check_leaves_a_pair_above_half_degree_to_the_theorem(monkeypatch):
+    # the forged rows break L(complement of D) = r - L(D): the complements of
+    # 7 and 27 keep their true, distinct rows of degree 55.  so-check examines
+    # only those, and the half of degree > (n - 1)/2 is covered by the
+    # complement theorem, not by enumeration, so the forgery is not reported
+    n, src, dst = 120, 7, 27  # {1, 2, 3} and {1, 2, 4, 5}, degree 64 > 59.5
+    inject_copies(monkeypatch, {dst: src})
+    assert exact_so_check(n)[1] == (names(n, (src, dst)),)
+    assert so_conjecture_check(n).collisions == ()
 
 
 def test_min_energy_examples():

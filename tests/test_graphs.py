@@ -244,3 +244,38 @@ def test_package_energy_is_the_function_after_any_import(first):
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=60)
     assert proc.returncode == 0, proc.stderr
+
+
+def splitmix64_finalizer(z):
+    """The splitmix64 finalizer as first written: every step makes a new array."""
+    z = z ^ (z >> np.uint64(30))
+    z = z * np.uint64(0xBF58476D1CE4E5B9)
+    z = z ^ (z >> np.uint64(27))
+    z = z * np.uint64(0x94D049BB133111EB)
+    return z ^ (z >> np.uint64(31))
+
+
+def test_mix64_in_place_matches_the_splitmix64_finalizer():
+    from icgraph.graphs import _mix64
+
+    rng = np.random.default_rng(20061)
+    edges = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    z = np.concatenate([edges, rng.integers(0, 2**64, 4096, dtype=np.uint64, endpoint=False)])
+    expected = splitmix64_finalizer(z.copy())
+    mixed = z.copy()
+    assert _mix64(mixed) is mixed
+    assert mixed.tobytes() == expected.tobytes()
+
+
+def test_spectrum_fingerprints_leave_the_rows_unchanged():
+    from icgraph.graphs import spectrum_fingerprints
+    from icgraph.sweep import iter_class_blocks
+
+    n = 120
+    for masks, L in iter_class_blocks(n):
+        before = L.copy()
+        every = spectrum_fingerprints(L, n)
+        rows = L[:, -1] <= (n - 1) // 2
+        some = spectrum_fingerprints(L, n, rows)
+        assert np.array_equal(L, before)
+        assert np.array_equal(some, every[rows])
