@@ -10,9 +10,9 @@ Highlights:
 * exhaustive support for the conjecture that distinct divisor sets are
   never cospectral: a 64-bit spectrum fingerprint (8 bytes) per set of
   degree <= (n - 1)/2 filters the candidates, and only sets whose
-  fingerprint repeats are checked again with their exact cospectral keys,
-  together with their complements.  The sets of larger degree are covered
-  by the complement theorem, not by enumeration: ICG_n(D') for the
+  fingerprint repeats are checked again with their exact cospectral keys.
+  The sets of larger degree are covered by the complement theorem, not by
+  enumeration (each group found names its complements): ICG_n(D') for the
   complement D' of D is the complement graph of ICG_n(D), and two regular
   graphs of one degree are cospectral exactly when their complements are;
 * exhaustive minimum-energy search with the known/conjectured extremal
@@ -43,6 +43,7 @@ from .graphs import (
     spectrum_fingerprints,
 )
 from .sweep import (
+    BLOCK,
     DEFAULT_BUDGET,
     check_budget,
     divisor_mask,
@@ -231,12 +232,12 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     are examined); _sets_of_degree counts them before the first block.
 
     A first pass keeps one 64-bit spectrum fingerprint per examined set
-    (8 bytes each) and sorts them; only when a fingerprint repeats does a
-    second pass take the exact cospectral keys of the examined sets whose
-    fingerprint repeats, of their complement rows r - row (mask m ^ sets),
-    and of the full set (r, the complement of the empty set).  A group of
-    complements is reported only after graphs.spectrum confirms the key of
-    every member, so a fault in the examined rows cannot invent a partner.
+    (8 bytes each), sorts them and compares neighbours BLOCK pairs at a
+    time; only when a fingerprint repeats does a second pass take the exact
+    cospectral keys of the examined sets whose fingerprint repeats.  A group
+    below degree (n - 1)/2 (the largest value of its key) names the group of
+    its complements (masks m ^ sets), reported only once graphs.spectrum
+    gives every member one key, so a fault in the rows cannot invent one.
     Cospectral sets share a fingerprint, so a fingerprint collision costs
     time but cannot change the answer.  `sets` still counts every divisor
     set.  Each collision group lists its masks ascending, and the groups
@@ -254,31 +255,26 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
         fps[filled : filled + len(part)] = part
         filled += len(part)
     fps.sort()
-    repeats = fps[1:][fps[1:] == fps[:-1]]  # sorted, with duplicates; isin needs neither
+    # equal neighbours BLOCK pairs at a time, the slices overlapping by one element
+    parts = (fps[i : i + BLOCK + 1] for i in range(0, max(len(fps) - 1, 1), BLOCK))
+    repeats = np.concatenate([p[1:][p[1:] == p[:-1]] for p in parts])  # sorted, with duplicates
     del fps
     groups: dict[tuple, list[int]] = {}  # exact key -> its examined masks, ascending
-    complements: dict[tuple, list[int]] = {}  # exact key of r - row -> its masks
     divs = proper_divisors(n)
     if len(repeats):
-        r = (-1,) * len(divs) + (n - 1,)  # the row of the full set, the empty set's complement
-        complements[Spectrum(n, r).cospectral_key()] = [sets]
         for masks, L in iter_class_blocks(n, budget):
             keep = L[:, -1] <= half
             keep[keep] = np.isin(spectrum_fingerprints(L, n, keep), repeats)
-            masks, L = masks[keep], L[keep]  # the examined rows whose fingerprint repeats
-            for mask, row in zip(masks.tolist(), L.tolist()):
+            for mask, row in zip(masks[keep].tolist(), L[keep].tolist()):
                 groups.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
-            # a set of degree (n - 1)/2 has its complement in the examined half
-            below = 2 * L[:, -1] < n - 1
-            for mask, row in zip((masks[below] ^ sets).tolist(), (r - L[below]).tolist()):
-                complements.setdefault(Spectrum(n, tuple(row)).cospectral_key(), []).append(mask)
     found = [g for g in groups.values() if len(g) > 1]
-    found += [
-        sorted(g)
-        for key, g in complements.items()
-        if len(g) > 1
-        and all(spectrum(IcgSpec(n, mask_divisors(m, divs))).cospectral_key() == key for m in g)
-    ]
+    for key, g in groups.items():
+        # below degree (n - 1)/2, the complements of a group are not examined
+        if len(g) > 1 and 2 * key[-1][0] < n - 1:
+            partners = sorted(m ^ sets for m in g)
+            keys = {spectrum(IcgSpec(n, mask_divisors(m, divs))).cospectral_key() for m in partners}
+            if len(keys) == 1:
+                found.append(partners)
     collisions = tuple(
         tuple(IcgSpec(n, mask_divisors(m, divs)).canonical() for m in group)
         for group in sorted(found)

@@ -200,22 +200,21 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z
 
 
-def spectrum_fingerprints(L: np.ndarray, n: int, rows: np.ndarray | None = None) -> np.ndarray:
+def spectrum_fingerprints(L: np.ndarray, n: int, rows: np.ndarray) -> np.ndarray:
     """A uint64 hash of the spectrum multiset of each row of class eigenvalues L.
 
     Rows with equal Spectrum.cospectral_key give equal fingerprints; the
     converse can fail, so a fingerprint only filters candidates for the exact
     key.  It is the sum over all n eigenvalues of a 64-bit mix of each,
     sum phi(n/e) mix(lambda_e) mod 2^64, which depends on the multiset alone.
-    With rows, a boolean array over the rows of L, only the rows it selects
-    are fingerprinted.  The fingerprint takes one uint64 copy of those rows
+    Only the rows that rows, a boolean array over the rows of L, selects are
+    fingerprinted.  The fingerprint takes one uint64 copy of those rows
     (the same bits as L, read mod 2^64) and mixes it in place, so L is left
     unchanged and a block costs no second copy.
     """
     import numpy as np
 
-    z = np.asarray(L, dtype=np.int64).view(np.uint64)
-    z = z.copy() if rows is None else z.compress(rows, axis=0)
+    z = np.asarray(L, dtype=np.int64).view(np.uint64).compress(rows, axis=0)
     return _mix64(z) @ np.array(class_weights(n), dtype=np.uint64)
 
 

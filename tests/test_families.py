@@ -232,7 +232,7 @@ def test_so_check_fingerprint_is_only_a_filter(monkeypatch, n):
     monkeypatch.setattr(graphs.Spectrum, "cospectral_key", counting_key)
     r = so_conjecture_check(n)
     assert (r.sets, r.collisions) == (subset_count(n), ())
-    assert len(checked) == subset_count(n)
+    assert len(checked) == (2 * subset_degrees(n)[1:] <= n - 1).sum()
 
 
 def subset_degrees(n):
@@ -273,9 +273,8 @@ def test_so_check_fingerprints_each_low_degree_set_once(monkeypatch):
     fingerprint = families.spectrum_fingerprints
     degrees = []
 
-    def recorded(L, n, rows=None):
-        picked = L if rows is None else L[rows]
-        degrees.extend(picked[:, -1].tolist())
+    def recorded(L, n, rows):
+        degrees.extend(L[rows][:, -1].tolist())
         return fingerprint(L, n, rows)
 
     monkeypatch.setattr(families, "spectrum_fingerprints", recorded)
@@ -326,6 +325,42 @@ def test_so_check_leaves_a_pair_above_half_degree_to_the_theorem(monkeypatch):
     inject_copies(monkeypatch, {dst: src})
     assert exact_so_check(n)[1] == (names(n, (src, dst)),)
     assert so_conjecture_check(n).collisions == ()
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("chunk", [1, 2])
+@pytest.mark.parametrize(
+    "copies, groups",
+    [({3000: 5}, [(5, 3000)]), ({2000: 3, 30000: 3, 1000: 5}, [(3, 2000, 30000), (5, 1000)])],
+)
+def test_so_check_finds_repeats_across_scan_chunks(monkeypatch, chunk, copies, groups):
+    # the sorted fingerprints are compared with their neighbours BLOCK pairs
+    # at a time; with chunks of 1 or 2 pairs, equal neighbours straddle the
+    # chunk boundaries
+    n = 120
+    monkeypatch.setattr(families, "BLOCK", chunk)
+    inject_copies(monkeypatch, copies)
+    assert so_conjecture_check(n).collisions == tuple(names(n, g) for g in groups)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n, src, dst", [(105, 33, 94), (165, 62, 65)])
+def test_so_check_reports_a_half_degree_complement_pair_once(monkeypatch, n, src, dst):
+    # src and dst are complements, both of degree exactly (n - 1)/2 and both
+    # examined; forged cospectral in their rows and in graphs.spectrum alike,
+    # the pair is its own complement group and must not be reported twice
+    assert src ^ dst == subset_count(n)
+    inject_copies(monkeypatch, {dst: src})
+    divs = proper_divisors(n)
+    true_spectrum = families.spectrum
+
+    def forged(spec):
+        if spec == IcgSpec(n, mask_divisors(dst, divs)):
+            spec = IcgSpec(n, mask_divisors(src, divs))
+        return true_spectrum(spec)
+
+    monkeypatch.setattr(families, "spectrum", forged)
+    assert so_conjecture_check(n).collisions == (names(n, (src, dst)),)
 
 
 def test_min_energy_examples():

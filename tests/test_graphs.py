@@ -274,7 +274,7 @@ def test_spectrum_fingerprints_leave_the_rows_unchanged():
     n = 120
     for masks, L in iter_class_blocks(n):
         before = L.copy()
-        every = spectrum_fingerprints(L, n)
+        every = spectrum_fingerprints(L, n, np.ones(len(L), dtype=bool))
         rows = L[:, -1] <= (n - 1) // 2
         some = spectrum_fingerprints(L, n, rows)
         assert np.array_equal(L, before)
