@@ -15,11 +15,12 @@ tables, and a single graph's indicator is read from gcd(k, n) and D alone,
 without the per-n divisor table (arith.phi_mu_table) that lists the
 divisors of n.  verify_against_trig checks the class eigenvalues that the
 sweeps themselves read, a bounded block of divisor sets at a time.  A set
-travels as its mask (sweep.divisor_mask), a Python int of any size;
-sweep.class_block takes its low bits from the low table (sweep.low_table)
-that the sweeps slice, and adds the class_table rows of its high bits.  The
-trig oracle is floating point, so comparisons carry an explicit tolerance;
-everything else is exact integer arithmetic.
+travels as its mask (sweep.divisor_mask), a Python int of any size; the
+exact side is sweep.class_block, one row of each digit table
+(sweep.digit_tables) that the sweeps slice, and the trig side decodes the
+same mask with its own mask_bits.  The trig oracle is floating point, so
+comparisons carry an explicit tolerance; everything else is exact integer
+arithmetic.
 """
 
 from __future__ import annotations
@@ -31,21 +32,25 @@ from math import sqrt
 from typing import TYPE_CHECKING
 
 from .graphs import IcgSpec, class_index, spectrum
-from .sweep import (
-    class_block,
-    class_table,
-    low_table,
-    mask_bits,
-    mask_divisors,
-    proper_divisors,
-    subset_count,
-)
+from .sweep import class_block, digit_tables, mask_divisors, proper_divisors, subset_count
 
 if TYPE_CHECKING:
     import numpy as np
 
 TRIG_MAX_N = 100_000
 FFT_CELLS = 1 << 14  # rows x n of one FFT block in verify_against_trig
+
+
+def mask_bits(masks, width: int) -> np.ndarray:
+    """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i].
+
+    masks is any sequence of masks: Python ints of any size, or an int64 array.
+    """
+    import numpy as np
+
+    nbytes = (width + 7) // 8
+    raw = np.frombuffer(b"".join(int(m).to_bytes(nbytes, "little") for m in masks), np.uint8)
+    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
 
 
 def _indicators(n: int, masks) -> np.ndarray:
@@ -156,8 +161,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     total = subset_count(n)
     exhaustive = total <= budget
     masks = range(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
-    table = class_table(n)
-    low = low_table(table)
+    tables = digit_tables(n)
 
     def name(mask: int) -> str:
         return IcgSpec(n, mask_divisors(mask, divs)).canonical()
@@ -168,7 +172,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     failures: list[str] = []
     for lo in range(0, len(masks), rows):
         part = masks[lo : lo + rows]
-        dev = np.abs(class_block(part, table, low)[:, index] - _trig_block(n, part))
+        dev = np.abs(class_block(part, tables)[:, index] - _trig_block(n, part))
         cols = dev.argmax(axis=1)
         row_dev = dev[np.arange(len(cols)), cols]
         r = int(row_dev.argmax())

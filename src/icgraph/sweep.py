@@ -4,13 +4,15 @@ Desk-scale checks (mod-4 sweeps, cospectrality searches, minimum-energy
 scans) all walk every nonempty subset of the proper divisors of n.  Spectra
 are additive over divisors, and each divisor's contribution is one row of
 the tau'(n) x tau(n) table R[i, j] = c(e_j, n/d_i) (proper divisors d_i,
-divisors e_j).  The low table T_low, built once per n, holds the sum of the
-R rows of every combination of the first LOW_BITS divisors.  Blocks have at
-most BLOCK masks and start at multiples of BLOCK, so the masks of a block
-share every bit above the low LOW_BITS: the class eigenvalues of a block
-are a slice of T_low plus one row for the shared high bits, with no
-per-set product.  Memory stays bounded by one block: the enumeration keeps
-nothing per set beyond it.
+divisors e_j).  R is cut into digits of LOW_BITS rows, and digit table k,
+built once per n, holds the sum of the R rows of every combination of the
+divisors in digit k.  The class eigenvalues of any mask are the sum, over
+k, of row (mask >> k * LOW_BITS) & (BLOCK - 1) of digit table k.  Blocks
+have at most BLOCK masks and start at multiples of BLOCK, so the masks of a
+block share every digit but the lowest: the class eigenvalues of a block
+are a slice of digit table 0 plus one row per higher digit, with no
+per-set product.  Memory stays bounded by one block and the digit tables:
+the enumeration keeps nothing per set beyond the block.
 
 Everything is deterministic: masks ascend 1, 2, 3, ..., and bit i of a mask
 refers to the i-th smallest proper divisor.  divisor_mask is the one encoder
@@ -72,18 +74,6 @@ def divisor_mask(n: int, divisor_set) -> int:
     return mask
 
 
-def mask_bits(masks, width: int) -> np.ndarray:
-    """0/1 uint8 matrix whose row i holds bits 0..width-1 of masks[i].
-
-    masks is any sequence of masks: Python ints of any size, or an int64 array.
-    """
-    import numpy as np
-
-    nbytes = (width + 7) // 8
-    raw = np.frombuffer(b"".join(int(m).to_bytes(nbytes, "little") for m in masks), np.uint8)
-    return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
-
-
 def class_table(n: int) -> np.ndarray:
     """The int64 table R[i, j] = c(e_j, n/d_i): one ramanujan_totals row per proper divisor d_i."""
     import numpy as np
@@ -94,32 +84,34 @@ def class_table(n: int) -> np.ndarray:
     return np.array([ramanujan_totals(divs, (n // d,), n) for d in divs[:-1]], dtype=np.int64)
 
 
-def low_table(table: np.ndarray) -> np.ndarray:
-    """T_low: row m is the sum of the rows table[i] for the bits i of m.
+def digit_tables(n: int) -> list[np.ndarray]:
+    """The digit tables of n, one per LOW_BITS rows of class_table(n).
 
-    table is class_table(n).  The 2^min(tau'(n), LOW_BITS) rows are built in
-    as many doubling steps as there are bits.
+    Row m of table k is the sum of the class_table rows k * LOW_BITS + i for
+    the bits i of m.  Table k has 2^r rows, r <= LOW_BITS the number of
+    class_table rows in digit k, built in r doubling steps.
     """
     import numpy as np
 
-    bits = min(len(table), LOW_BITS)
-    low = np.zeros((1 << bits, table.shape[1]), dtype=np.int64)
-    for i in range(bits):
-        low[1 << i : 2 << i] = low[: 1 << i] + table[i]
-    return low
+    table = class_table(n)
+    tables = []
+    for first in range(0, len(table), LOW_BITS):
+        digit = table[first : first + LOW_BITS]
+        t = np.zeros((1 << len(digit), table.shape[1]), dtype=np.int64)
+        for i, row in enumerate(digit):
+            t[1 << i : 2 << i] = t[: 1 << i] + row
+        tables.append(t)
+    return tables
 
 
-def class_block(masks, table: np.ndarray, low: np.ndarray) -> np.ndarray:
+def class_block(masks, tables: list[np.ndarray]) -> np.ndarray:
     """Class eigenvalues of the graphs named by masks, one row per mask.
 
-    Row i is low[masks[i] & (BLOCK - 1)] plus the rows of table for the bits
-    of masks[i] above LOW_BITS.  table is class_table(n), low is
-    low_table(table); masks is any sequence of masks, as for mask_bits.
+    Row i is the sum, over digits k, of row (masks[i] >> k * LOW_BITS) & (BLOCK - 1)
+    of tables[k]; tables is digit_tables(n).  masks is any sequence of masks:
+    Python ints of any size, or an int64 array.
     """
-    rows = low[[m & (BLOCK - 1) for m in masks]]
-    if len(table) > LOW_BITS:
-        rows += mask_bits([m >> LOW_BITS for m in masks], len(table) - LOW_BITS) @ table[LOW_BITS:]
-    return rows
+    return sum(t[[m >> k * LOW_BITS & (BLOCK - 1) for m in masks]] for k, t in enumerate(tables))
 
 
 def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
@@ -128,23 +120,23 @@ def iter_class_blocks(n: int, budget: int = DEFAULT_BUDGET):
     masks is an ascending int64 array of the masks in [k * BLOCK, (k + 1) * BLOCK)
     for one k (mask 0, the empty set, is left out); row i of the int64 array
     L holds the class eigenvalues (Spectrum.classes) of ICG_n(D) for
-    D = mask_divisors(masks[i], proper_divisors(n)).  L is the slice of the
-    low table for the block's low bits plus class_block of the block's
-    first mask k * BLOCK, whose low bits are all zero.
+    D = mask_divisors(masks[i], proper_divisors(n)).  L is the slice of digit
+    table 0 for the block's lowest digit plus, as in class_block, one row of
+    each higher digit table for the digits of k * BLOCK that the block shares.
     """
     import numpy as np
 
     total = check_budget(n, budget)
-    table = class_table(n)
-    low = low_table(table)
+    low, *high = digit_tables(n)
     for lo in range(0, total + 1, BLOCK):
         start, stop = lo or 1, min(lo + BLOCK, total + 1)
-        yield np.arange(start, stop), low[start - lo : stop - lo] + class_block([lo], table, low)
+        shared = sum(t[lo >> k * LOW_BITS & (BLOCK - 1)] for k, t in enumerate(high, 1))
+        yield np.arange(start, stop), low[start - lo : stop - lo] + shared
 
 
 @lru_cache(maxsize=TABLE_CACHE_SIZE)
 def _low_texts(divs: tuple[int, ...]) -> tuple[str, ...]:
-    """The text d1,d2,... of the divisors each mask selects, by mask; built like low_table."""
+    """The text d1,d2,... of the divisors each mask selects, by mask; built like a digit table."""
     texts = [""]
     for d in map(str, divs):
         texts += [f"{t},{d}" if t else d for t in texts]

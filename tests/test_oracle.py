@@ -58,9 +58,9 @@ def test_spectrum_trig_guard():
 
 def test_verify_against_trig_rejects_a_large_n_before_any_table(monkeypatch):
     def refuse(n):
-        raise AssertionError(f"class_table({n}) built for an n the oracle rejects")
+        raise AssertionError(f"digit_tables({n}) built for an n the oracle rejects")
 
-    monkeypatch.setattr(oracle, "class_table", refuse)
+    monkeypatch.setattr(oracle, "digit_tables", refuse)
     with pytest.raises(ValueError, match=r"^trig oracle limited to n <= 100000, got 100002$"):
         verify_against_trig(100_002)
 

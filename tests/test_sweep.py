@@ -10,7 +10,7 @@ from icgraph.arith import divisors, euler_phi
 from icgraph.energy import mod4_sweep
 from icgraph.families import min_energy_search, so_conjecture_check
 from icgraph.graphs import IcgSpec, class_index, spectrum
-from icgraph.oracle import verify_against_trig
+from icgraph.oracle import mask_bits, verify_against_trig
 from icgraph.sweep import (
     BLOCK,
     DEFAULT_BUDGET,
@@ -19,10 +19,9 @@ from icgraph.sweep import (
     check_budget,
     class_block,
     class_table,
+    digit_tables,
     divisor_mask,
     iter_class_blocks,
-    low_table,
-    mask_bits,
     mask_divisors,
     proper_divisors,
     subset_count,
@@ -31,15 +30,16 @@ from icgraph.sweep import (
 
 def test_class_table_rows_sum_to_the_complete_graph():
     # D = every proper divisor is K_n, with class eigenvalues r = (-1, ..., -1, n - 1),
-    # so L(D) + L(complement of D) = r for every D
+    # so L(D) + L(complement of D) = r for every D; within one digit table, row m
+    # plus row (all bits) ^ m is the sum of that digit's class rows
     for n in range(2, 3001):
         r = [-1] * len(divisors(n))
         r[-1] = n - 1
         table = class_table(n)
         assert table.sum(axis=0).tolist() == r, n
-        if len(table) <= LOW_BITS:  # low row m + low row (all bits) ^ m
-            low = low_table(table)
-            assert ((low + low[::-1]) == r).all(), n
+        for k, t in enumerate(digit_tables(n)):
+            digit_sum = table[k * LOW_BITS : (k + 1) * LOW_BITS].sum(axis=0)
+            assert ((t + t[::-1]) == digit_sum).all(), (n, k)
 
 
 def test_proper_divisors():
@@ -113,7 +113,7 @@ def test_incremental_spectra_match_direct():
     """The blocked class products must reproduce every spectrum exactly.
 
     60 and 72 have tau' = 11 > LOW_BITS, so their second block carries a
-    high-bit row from class_table on top of the low-table slice.
+    row of the second digit table on top of the slice of the first.
     """
     for n in (12, 18, 30, 36, 60, 72):
         divs = proper_divisors(n)
@@ -144,17 +144,22 @@ def test_class_blocks_equal_bits_times_table():
 
     The orders cover tau'(n) below and above LOW_BITS, so blocks both without
     and with shared high bits are checked; 2^10 is the smallest n with
-    tau'(n) = LOW_BITS exactly (tau(n) = 11 needs n = p^10).
+    tau'(n) = LOW_BITS exactly (tau(n) = 11 needs n = p^10).  3072 = 2^10 * 3
+    (tau' = 21) has the fewest divisor sets of any n whose masks reach a
+    third digit table.
     """
     widths = set()
-    for n in [*range(2, 401), 2**10]:
-        if subset_count(n) > DEFAULT_BUDGET:
+    budgets = {n: DEFAULT_BUDGET for n in [*range(2, 401), 2**10]} | {3072: (1 << 21) - 1}
+    for n, budget in budgets.items():
+        if subset_count(n) > budget:
             continue
         table = class_table(n)
-        widths.add(len(table))
-        for masks, L in iter_class_blocks(n):
-            assert np.array_equal(L, mask_bits(masks.tolist(), len(table)) @ table), (n, masks[0])
+        w = len(table)
+        widths.add(w)
+        for masks, L in iter_class_blocks(n, budget):
+            assert np.array_equal(L, ((masks[:, None] >> np.arange(w)) & 1) @ table), (n, masks[0])
     assert min(widths) < LOW_BITS < max(widths) and LOW_BITS in widths
+    assert max(widths) > 2 * LOW_BITS
 
 
 @pytest.mark.parametrize("n", [5040, 720720])
@@ -165,10 +170,10 @@ def test_class_block_on_sampled_masks_equals_bits_times_table(n):
     edges = [1, BLOCK - 1, BLOCK, BLOCK + 1, (1 << len(table)) - 1]
     masks = sorted(edges + [rng.getrandbits(len(table)) or 1 for _ in range(200)])
     want = mask_bits(masks, len(table)) @ table
-    got = class_block(masks, table, low_table(table))
-    assert np.array_equal(got, want)
+    tables = digit_tables(n)
+    assert np.array_equal(class_block(masks, tables), want)
     if len(table) < 63:
-        assert np.array_equal(class_block(np.array(masks), table, low_table(table)), want)
+        assert np.array_equal(class_block(np.array(masks), tables), want)
 
 
 def test_class_block_takes_one_mask_type_in_any_container():
@@ -179,12 +184,12 @@ def test_class_block_takes_one_mask_type_in_any_container():
     """
     n = 5040
     table = class_table(n)
-    low = low_table(table)
+    tables = digit_tables(n)
     masks = range((1 << 58) - 700, (1 << 58) + 700, 3)
     want = mask_bits(list(masks), len(table)) @ table
     for given in (masks, list(masks), np.array(masks, dtype=np.int64)):
         assert np.array_equal(mask_bits(given, len(table)), mask_bits(list(masks), len(table)))
-        assert np.array_equal(class_block(given, table, low), want)
+        assert np.array_equal(class_block(given, tables), want)
 
 
 @pytest.mark.parametrize("width", [1, 10, 62, 64, 127, 239])
