@@ -37,7 +37,7 @@ first construction, branch 2 for the second.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import euler_phi, factorize, is_prime, prime_factors
 from .energy import energy
@@ -54,8 +54,7 @@ class Family(enum.Enum):
         return ("p", "gamma") if self is Family.ONE_AND_PRIME_POWER else ("p", "q")
 
 
-@dataclass(frozen=True)
-class ClosedFormCase:
+class ClosedFormCase(NamedTuple):
     family: Family
     case_tag: int
     parameters: tuple[int, ...]
@@ -136,8 +135,7 @@ def energy_two_primes(n: int, p: int, q: int) -> int:
     return classify_case(n, Family.TWO_PRIMES, (p, q)).energy
 
 
-@dataclass(frozen=True)
-class CrossValidationRow:
+class CrossValidationRow(NamedTuple):
     n: int
     family: Family
     parameters: tuple[int, ...]

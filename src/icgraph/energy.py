@@ -21,7 +21,7 @@ sweep.spec_names, and the CLI formats its rows a block at a time.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .arith import divisors, euler_phi
 from .graphs import IcgSpec, block_energies, spectrum
@@ -56,8 +56,7 @@ def is_hyperenergetic(n: int, e: int) -> bool:
     return e > 2 * n - 2
 
 
-@dataclass(frozen=True)
-class EnergyReport:
+class EnergyReport(NamedTuple):
     """Everything the mod-4 classification needs about one graph."""
 
     spec: IcgSpec
@@ -124,8 +123,7 @@ def mod4_blocks(n: int, budget: int = DEFAULT_BUDGET):
         yield masks, energies, energies % 4, predicted
 
 
-@dataclass(frozen=True)
-class Mod4Summary:
+class Mod4Summary(NamedTuple):
     n: int
     sets: int
     violations: tuple[str, ...]

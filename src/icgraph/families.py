@@ -29,7 +29,7 @@ the three functions that use them, so the searches load neither.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 from itertools import combinations
 
 from .arith import divisors, euler_phi, factorize, prime_factors
@@ -53,8 +53,7 @@ from .sweep import (
 )
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """A set of same-order, same-energy, pairwise non-cospectral graphs."""
 
     n: int
@@ -179,8 +178,7 @@ def second_spectral_value(n: int, p_i: int, p_j: int) -> int:
     return int(value)
 
 
-@dataclass(frozen=True)
-class SoReport:
+class SoReport(NamedTuple):
     """Outcome of the cospectrality search over all divisor sets of one n."""
 
     n: int
@@ -282,8 +280,7 @@ def so_conjecture_check(n: int, budget: int = DEFAULT_BUDGET) -> SoReport:
     return SoReport(n, sets, collisions)
 
 
-@dataclass(frozen=True)
-class ExtremalReport:
+class ExtremalReport(NamedTuple):
     """Minimum energy over the divisor sets of n, with the predicted value."""
 
     n: int

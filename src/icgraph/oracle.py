@@ -27,9 +27,8 @@ from __future__ import annotations
 
 import random
 import sys
-from dataclasses import dataclass
 from math import sqrt
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 from .graphs import IcgSpec, class_index, spectrum
 from .sweep import class_block, digit_tables, mask_divisors, proper_divisors, subset_count
@@ -53,16 +52,30 @@ def mask_bits(masks, width: int) -> np.ndarray:
     return np.unpackbits(raw.reshape(-1, nbytes), axis=1, count=width, bitorder="little")
 
 
-def _indicators(n: int, masks) -> np.ndarray:
-    """0/1 rows: entry k of row i is 1 when gcd(k, n) is a divisor named by masks[i]."""
+def _gcd_slots(n: int) -> np.ndarray:
+    """For k = 0..n-1, the 1-based position of gcd(k, n) among the proper divisors of n.
+
+    k = 0 gets slot 0: gcd(0, n) = n is never in D.  verify_against_trig
+    builds this map once per n and reads every part's indicators through it.
+    """
     import numpy as np
 
     divs = proper_divisors(n)
-    slot = np.zeros(n + 1, dtype=np.intp)  # slot 0: gcd(0, n) = n, never in D
+    slot = np.zeros(n + 1, dtype=np.intp)
     slot[list(divs)] = np.arange(1, len(divs) + 1)
-    bits = np.zeros((len(masks), len(divs) + 1), dtype=np.uint8)
-    bits[:, 1:] = mask_bits(masks, len(divs))
-    return bits[:, slot[np.gcd(np.arange(n), n)]]
+    return slot[np.gcd(np.arange(n), n)]
+
+
+def _indicators(slots: np.ndarray, masks, width: int) -> np.ndarray:
+    """0/1 rows: entry k of row i is 1 when gcd(k, n) is a divisor named by masks[i].
+
+    slots is _gcd_slots(n) and width the number of proper divisors of n.
+    """
+    import numpy as np
+
+    bits = np.zeros((len(masks), width + 1), dtype=np.uint8)
+    bits[:, 1:] = mask_bits(masks, width)
+    return bits[:, slots]
 
 
 def _indicator(spec: IcgSpec) -> np.ndarray:
@@ -78,14 +91,6 @@ def check_trig_n(n: int) -> None:
         raise ValueError(f"trig oracle limited to n <= {TRIG_MAX_N}, got {n}")
 
 
-def _trig_block(n: int, masks) -> np.ndarray:
-    """Index-ordered eigenvalues of ICG_n(D) for each mask, as float rows (the DFT)."""
-    import numpy as np
-
-    check_trig_n(n)
-    return np.fft.fft(_indicators(n, masks), axis=1).real
-
-
 def spectrum_trig(spec: IcgSpec) -> np.ndarray:
     """Eigenvalues lambda_j = sum over the connection set S of cos(2*pi*j*s/n).
 
@@ -98,8 +103,7 @@ def spectrum_trig(spec: IcgSpec) -> np.ndarray:
     return np.fft.fft(_indicator(spec)).real
 
 
-@dataclass(frozen=True)
-class SpectrumComparison:
+class SpectrumComparison(NamedTuple):
     max_deviation: float
     worst_index: int
     ok: bool
@@ -117,8 +121,7 @@ def compare_spectra(exact, approx, tol: float = 1e-6) -> SpectrumComparison:
     return SpectrumComparison(float(dev[worst]), worst, bool(dev[worst] <= tol))
 
 
-@dataclass(frozen=True)
-class OracleReport:
+class OracleReport(NamedTuple):
     n: int
     sets: int
     exhaustive: bool
@@ -162,6 +165,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     exhaustive = total <= budget
     masks = range(1, total + 1) if exhaustive else _sample_masks(n, total, budget)
     tables = digit_tables(n)
+    slots = _gcd_slots(n)
 
     def name(mask: int) -> str:
         return IcgSpec(n, mask_divisors(mask, divs)).canonical()
@@ -172,7 +176,8 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
     failures: list[str] = []
     for lo in range(0, len(masks), rows):
         part = masks[lo : lo + rows]
-        dev = np.abs(class_block(part, tables)[:, index] - _trig_block(n, part))
+        trig = np.fft.fft(_indicators(slots, part, len(divs)), axis=1).real
+        dev = np.abs(class_block(part, tables)[:, index] - trig)
         cols = dev.argmax(axis=1)
         row_dev = dev[np.arange(len(cols)), cols]
         r = int(row_dev.argmax())
@@ -184,8 +189,7 @@ def verify_against_trig(n: int, tol: float = 1e-6, budget: int = 2048) -> Oracle
                         worst_spec, worst_index)
 
 
-@dataclass(frozen=True)
-class MomentReport:
+class MomentReport(NamedTuple):
     n: int
     m: int
     M2: int

@@ -1,7 +1,9 @@
 """Graph construction, validation, and the exact Ramanujan-sum spectrum."""
 
+import copy
 import importlib
 import os
+import pickle
 import subprocess
 import sys
 from pathlib import Path
@@ -9,9 +11,11 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from icgraph import graphs
 from icgraph.arith import euler_phi
 from icgraph.graphs import (
     IcgSpec,
+    Spectrum,
     adjacency,
     component_decomposition,
     connectivity,
@@ -51,6 +55,48 @@ def test_spec_rejects_bool_divisors():
             IcgSpec(12, ds)
     for spec in (IcgSpec(12, (1,)), IcgSpec(12, (1, 3)), IcgSpec(720720, (1, 7, 360360))):
         assert parse_spec(spec.canonical()) == spec
+
+
+def test_spec_and_spectrum_are_immutable_values():
+    """repr, equality and hash follow the fields; assignment fails; copies are equal."""
+    spec = IcgSpec(12, (4, 1))
+    assert repr(spec) == "IcgSpec(n=12, divisors=(1, 4))"
+    s = spectrum(IcgSpec(6, (1,)))
+    assert repr(s) == "Spectrum(n=6, classes=(1, -1, -2, 2))"
+    assert spec == IcgSpec(12, (1, 4)) and hash(spec) == hash(IcgSpec(12, (1, 4)))
+    assert spec != IcgSpec(12, (1, 2)) and spec != (12, (1, 4))
+    assert s == Spectrum(6, (1, -1, -2, 2)) and hash(s) == hash(Spectrum(6, (1, -1, -2, 2)))
+    assert s != Spectrum(6, (1, -1, -2, 1)) and s != (6, (1, -1, -2, 2))
+    for obj, field in ((spec, "n"), (spec, "divisors"), (s, "n"), (s, "classes")):
+        with pytest.raises(AttributeError):
+            setattr(obj, field, getattr(obj, field))
+        with pytest.raises(AttributeError):
+            delattr(obj, field)
+    with pytest.raises(AttributeError):
+        s.values = ()
+    for obj in (spec, s):
+        for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
+            assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
+    assert pickle.loads(pickle.dumps(s)).values == s.values
+
+
+def test_spectrum_is_not_a_sequence_and_expands_values_once(monkeypatch):
+    calls = []
+
+    def counted(n):
+        calls.append(n)
+        return class_index(n)
+
+    class_index = graphs.class_index
+    monkeypatch.setattr(graphs, "class_index", counted)
+    s = spectrum(IcgSpec(12, (1, 4)))
+    with pytest.raises(TypeError):
+        len(s)
+    with pytest.raises(TypeError):
+        iter(s)
+    first = s.values
+    assert s.values is first and s.values is first
+    assert first == (6, -1, 1, 2, -3, -1, -2, -1, -3, 2, 1, -1) and calls == [12]
 
 
 def test_parse_spec():
@@ -176,7 +222,8 @@ def test_component_spectrum_multiset():
 
 def test_single_graph_path_does_not_load_numpy():
     # numpy's BLAS start-up busy-waits on a worker thread; a single-graph
-    # query needs no arrays, so it must not pay for that.
+    # query needs no arrays, so it must not pay for that.  Nor for
+    # dataclasses, which loads inspect, ast and dis.
     code = (
         "import sys\n"
         "from icgraph import (IcgSpec, closed_forms, cospectral, energy_report,\n"
@@ -193,7 +240,8 @@ def test_single_graph_path_does_not_load_numpy():
         "equienergetic_family(30)\n"
         "equienergetic_family_second(450)\n"
         "assert icgraph.cli.main(['family', '30']) == 0\n"
-        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+        "for name in ('numpy', 'dataclasses', 'inspect'):\n"
+        "    assert name not in sys.modules, name\n"
     )
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(

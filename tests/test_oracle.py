@@ -57,12 +57,29 @@ def test_spectrum_trig_guard():
 
 
 def test_verify_against_trig_rejects_a_large_n_before_any_table(monkeypatch):
-    def refuse(n):
-        raise AssertionError(f"digit_tables({n}) built for an n the oracle rejects")
+    for table in ("digit_tables", "_gcd_slots"):
+        def refuse(n, table=table):
+            raise AssertionError(f"{table}({n}) built for an n the oracle rejects")
 
-    monkeypatch.setattr(oracle, "digit_tables", refuse)
+        monkeypatch.setattr(oracle, table, refuse)
     with pytest.raises(ValueError, match=r"^trig oracle limited to n <= 100000, got 100002$"):
         verify_against_trig(100_002)
+
+
+@pytest.mark.parametrize("n, budget, parts", [(1000, 64, 4), (55440, 8, 8)])
+def test_verify_against_trig_builds_one_gcd_map_per_n(monkeypatch, n, budget, parts):
+    """The map from k to the slot of gcd(k, n) is built once, not once per FFT part."""
+    assert -(-budget // max(1, oracle.FFT_CELLS // n)) == parts
+    build = oracle._gcd_slots
+    built = []
+
+    def counted(m):
+        built.append(m)
+        return build(m)
+
+    monkeypatch.setattr(oracle, "_gcd_slots", counted)
+    r = verify_against_trig(n, budget=budget)
+    assert r.ok and r.sets == budget and built == [n]
 
 
 def test_compare_spectra():
