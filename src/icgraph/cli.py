@@ -17,8 +17,7 @@ failed is the spec_names of the masks that energy.mod4_sweep would report.
 A verb imports the modules it needs when it runs (closed_forms, families,
 oracle, csv), so building the parser loads none of them and a mod4-sweep
 process loads only cli, energy, graphs, sweep and arith of the package.
-None of them loads inspect, ast or dis: the reports are NamedTuples, and
-verify-oracle writes its report's _asdict().
+None of them loads inspect, ast or dis: the reports are NamedTuples.
 
 argparse enforces which arguments go together: a range verb takes exactly
 one of a positional target and --range, closed-form exactly one of --power
@@ -294,7 +293,7 @@ def cmd_verify_oracle(args) -> int:
     verify = oracle.verify_against_trig
     return _run_range(
         args, _emit, oracle.check_trig_n,
-        lambda n: [verify(n, tol=args.tol, budget=args.budget)._asdict()],
+        lambda n: [verify(n, tol=args.tol, budget=args.budget).to_json_dict()],
         lambda row: [] if row["ok"] else [row["n"]],
         lambda bad: "counterexamples: exact and trig spectra disagree",
     )

@@ -39,6 +39,7 @@ from .graphs import (
     Spectrum,
     block_energies,
     class_weights,
+    json_fields,
     spectrum,
     spectrum_fingerprints,
 )
@@ -62,14 +63,7 @@ class FamilyReport(NamedTuple):
     pairwise_cospectral: tuple[tuple[bool, ...], ...]
     all_hyperenergetic: bool
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "members": [m.canonical() for m in self.members],
-            "common_energy": self.common_energy,
-            "pairwise_cospectral": [list(row) for row in self.pairwise_cospectral],
-            "all_hyperenergetic": self.all_hyperenergetic,
-        }
+    to_json_dict = json_fields
 
 
 def cospectral(a: IcgSpec, b: IcgSpec) -> bool:
@@ -189,12 +183,7 @@ class SoReport(NamedTuple):
     def verified(self) -> bool:
         return not self.collisions
 
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "sets": self.sets,
-            "collisions": [list(group) for group in self.collisions],
-        }
+    to_json_dict = json_fields
 
 
 def _sets_of_degree(n: int, degree: int) -> int:
@@ -290,17 +279,7 @@ class ExtremalReport(NamedTuple):
     conjecture_value: int | None
     conjecture_holds: bool | None
 
-    def to_json_dict(self) -> dict:
-        d = {
-            "n": self.n,
-            "connected_only": self.connected_only,
-            "min_energy": self.min_energy,
-            "argmin_sets": [list(ds) for ds in self.argmin_sets],
-        }
-        if self.conjecture_value is not None:
-            d["conjecture_value"] = self.conjecture_value
-            d["conjecture_holds"] = self.conjecture_holds
-        return d
+    to_json_dict = json_fields
 
 
 def predicted_min_energy_set(n: int) -> tuple[int, ...]:

@@ -22,10 +22,11 @@ Energy, spectral moments, the cospectral key and its 64-bit fingerprint
 are weighted sums or merges over the classes; the index-ordered view
 (lambda_0 is the degree, lambda_{n/2} drives the mod-4 energy rule) is
 expanded only when a caller asks for it.
-IcgSpec and Spectrum are plain immutable classes, equal and hashed by
-their fields, and the package's reports are NamedTuples: the standard
-library's class decorator for records loads inspect, ast and dis, about
-10 ms and 1 MB of every process that needs no numpy.
+IcgSpec and Spectrum are immutable records on one slotted base, and the
+package's reports are NamedTuples, all but EnergyReport written as JSON by
+json_fields: the standard library's class decorator for records loads
+inspect, ast and dis, about 10 ms and 1 MB of every process that needs no
+numpy.
 
 The package loads a submodule when one of its names is first used, and
 every module imports numpy inside the functions that use it; the
@@ -60,15 +61,41 @@ if TYPE_CHECKING:
 ADJACENCY_MAX_N = 20000
 
 
-def _frozen_setattr(self, name, value):
-    raise AttributeError(f"cannot assign to field {name!r}")
+class _Record:
+    """Immutable fields named by __match_args__, which repr, ==, hash and pickling read.
+
+    A record equals only records of its own class.  Subclasses set their
+    fields in __init__ with object.__setattr__.
+    """
+
+    __slots__ = ()
+
+    def _astuple(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__match_args__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__match_args__)
+        return f"{self.__class__.__name__}({fields})"
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._astuple() == other._astuple()
+
+    def __hash__(self) -> int:
+        return hash(self._astuple())
+
+    def __reduce__(self):
+        return self.__class__, self._astuple()
 
 
-def _frozen_delattr(self, name):
-    raise AttributeError(f"cannot delete field {name!r}")
-
-
-class IcgSpec:
+class IcgSpec(_Record):
     """A validated pair (n, divisors) naming the graph ICG_n(D).
 
     The divisor tuple is canonicalized to ascending order; two specs are
@@ -76,7 +103,7 @@ class IcgSpec:
     and hashable.
     """
 
-    __slots__ = ("n", "divisors")
+    __slots__ = __match_args__ = ("n", "divisors")
     n: int
     divisors: tuple[int, ...]
 
@@ -97,23 +124,6 @@ class IcgSpec:
                 raise ValueError(f"{d} does not divide {n}")
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "divisors", tuple(sorted(ds)))
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __repr__(self) -> str:
-        return f"IcgSpec(n={self.n!r}, divisors={self.divisors!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not IcgSpec:
-            return NotImplemented
-        return self.n == other.n and self.divisors == other.divisors
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.divisors))
-
-    def __reduce__(self):
-        return IcgSpec, (self.n, self.divisors)
 
     def canonical(self) -> str:
         """Canonical text form "n:d1,d2,...,dk" with ascending divisors."""
@@ -138,7 +148,25 @@ def parse_spec(text: str) -> IcgSpec:
     return IcgSpec(n, ds)
 
 
-class Spectrum:
+def _json_value(value):
+    if isinstance(value, IcgSpec):
+        return value.canonical()
+    if isinstance(value, tuple):
+        return [_json_value(v) for v in value]
+    return value
+
+
+def json_fields(report) -> dict:
+    """A report NamedTuple's fields in order, as the JSON object the CLI writes.
+
+    Tuples become lists and an IcgSpec its canonical text; a field that is
+    None is left out.
+    """
+    return {name: _json_value(value) for name, value in zip(report._fields, report)
+            if value is not None}
+
+
+class Spectrum(_Record):
     """Integer eigenvalues of ICG_n(D), one per divisor class of Z_n.
 
     classes[i] is lambda_e for e = divisors(n)[i]: the eigenvalue at every
@@ -149,29 +177,13 @@ class Spectrum:
     """
 
     __slots__ = ("n", "classes", "_values")
+    __match_args__ = ("n", "classes")
     n: int
     classes: tuple[int, ...]
 
     def __init__(self, n: int, classes: tuple[int, ...]):
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "classes", classes)
-
-    __setattr__ = _frozen_setattr
-    __delattr__ = _frozen_delattr
-
-    def __repr__(self) -> str:
-        return f"Spectrum(n={self.n!r}, classes={self.classes!r})"
-
-    def __eq__(self, other):
-        if other.__class__ is not Spectrum:
-            return NotImplemented
-        return self.n == other.n and self.classes == other.classes
-
-    def __hash__(self) -> int:
-        return hash((self.n, self.classes))
-
-    def __reduce__(self):
-        return Spectrum, (self.n, self.classes)
 
     @property
     def multiplicities(self) -> tuple[int, ...]:

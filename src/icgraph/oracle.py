@@ -30,7 +30,7 @@ import sys
 from math import sqrt
 from typing import TYPE_CHECKING, NamedTuple
 
-from .graphs import IcgSpec, class_index, spectrum
+from .graphs import IcgSpec, class_index, json_fields, spectrum
 from .sweep import class_block, digit_tables, mask_divisors, proper_divisors, subset_count
 
 if TYPE_CHECKING:
@@ -130,6 +130,8 @@ class OracleReport(NamedTuple):
     failures: tuple[str, ...]
     worst_spec: str | None  # the graph and eigenvalue index where max_deviation occurs
     worst_index: int
+
+    to_json_dict = json_fields
 
 
 def _sample_masks(n: int, total: int, budget: int) -> list[int]:

@@ -17,6 +17,7 @@ from icgraph.cli import main
 from icgraph.closed_forms import CrossValidationRow, Family, classify_case, iter_admissible
 from icgraph.graphs import parse_spec
 from icgraph.sweep import spec_names, subset_count
+from test_families import inject_copies
 
 
 def run(capsys, *argv):
@@ -330,12 +331,61 @@ def test_out_of_memory_is_a_one_line_error(capsys, monkeypatch):
          "0c4334bdae3cb500283d7b50b592d2cbd78bf4789951829b9401040af56d2bb7"),
         (["mod4-sweep", "118..122", "--format", "csv"],
          "8aef6aa8e4015514135535f2dbf2b4d7b28cdaee8059ff5a720af2dedfe36f1d"),
+        # connected-only, so every row carries the conjecture fields
+        (["min-energy", "2..80"], "3ac93a818bf849dad08865f25896663d2589a9189467b7b1799c5019472ffe3e"),
+        (["min-energy", "2..80", "--format", "csv"],
+         "4bcc9bf217b9f3dff3e08a7aaedc57ed2259976f786c228a10637a7d3dde0694"),
+        (["verify-oracle", "2..40", "--format", "csv"],
+         "bfb2b5525fa23bcdba0f53b6b8358f4b9f85458516aab724ec4464ea30953625"),
     ],
 )
 def test_range_verbs_exact_bytes(capsys, argv, digest):
     code, out, err = run(capsys, *argv)
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize(
+    "argv, copies, code, out, err",
+    [
+        (["family", "30"], {}, 0,
+         '{"n":30,"members":["30:1","30:2,3","30:2,5","30:3,5"],"common_energy":64,'
+         '"pairwise_cospectral":[[true,false,false,false],[false,true,false,false],'
+         '[false,false,true,false],[false,false,false,true]],"all_hyperenergetic":true}\n', ""),
+        (["family", "30", "--format", "csv"], {}, 0,
+         "n,members,common_energy,pairwise_cospectral,all_hyperenergetic\n"
+         '30,"30:1;30:2,3;30:2,5;30:3,5",64,"[true, false, false, false];'
+         "[false, true, false, false];[false, false, true, false];"
+         '[false, false, false, true]",true\n', ""),
+        (["family", "450", "--class", "second"], {}, 0,
+         '{"n":450,"members":["450:2,3","450:2,5"],"common_energy":1440,'
+         '"pairwise_cospectral":[[true,false],[false,true]],"all_hyperenergetic":true}\n', ""),
+        (["family", "450", "--class", "second", "--format", "csv"], {}, 0,
+         "n,members,common_energy,pairwise_cospectral,all_hyperenergetic\n"
+         '450,"450:2,3;450:2,5",1440,"[true, false];[false, true]",true\n', ""),
+        # mask 3000 forged cospectral with mask 5: one collision group in the row
+        (["so-check", "120"], {3000: 5}, 2,
+         '{"n":120,"sets":32767,"collisions":[["120:1,3","120:4,5,6,10,12,15,24"]]}\n',
+         "counterexamples: cospectral divisor sets found\n"),
+        (["so-check", "120", "--format", "csv"], {3000: 5}, 2,
+         'n,sets,collisions\n120,32767,"[120:1,3, 120:4,5,6,10,12,15,24]"\n',
+         "counterexamples: cospectral divisor sets found\n"),
+    ],
+)
+def test_single_reports_exact_bytes(capsys, monkeypatch, argv, copies, code, out, err):
+    inject_copies(monkeypatch, copies)
+    assert run(capsys, *argv) == (code, out, err)
+
+
+@pytest.mark.parametrize("flag", ["--connected-only", "--no-connected-only"])
+def test_min_energy_rows_share_one_header(capsys, flag):
+    # _emit takes the CSV header from the first row, and json_fields leaves
+    # None fields out, so the conjecture fields must be set on all rows or none
+    code, out, _ = run(capsys, "min-energy", "2..40", flag)
+    assert code == 0
+    keys = {tuple(json.loads(line)) for line in out.splitlines()}
+    assert len(keys) == 1, keys
+    assert ("conjecture_holds" in keys.pop()) == (flag == "--connected-only")
 
 
 def test_range_rows_are_written_before_the_next_n_starts(capsys, monkeypatch):

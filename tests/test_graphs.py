@@ -67,6 +67,7 @@ def test_spec_and_spectrum_are_immutable_values():
     assert spec != IcgSpec(12, (1, 2)) and spec != (12, (1, 4))
     assert s == Spectrum(6, (1, -1, -2, 2)) and hash(s) == hash(Spectrum(6, (1, -1, -2, 2)))
     assert s != Spectrum(6, (1, -1, -2, 1)) and s != (6, (1, -1, -2, 2))
+    assert spec != Spectrum(12, (1, 4))  # equal fields, another record class
     for obj, field in ((spec, "n"), (spec, "divisors"), (s, "n"), (s, "classes")):
         with pytest.raises(AttributeError):
             setattr(obj, field, getattr(obj, field))
@@ -78,6 +79,19 @@ def test_spec_and_spectrum_are_immutable_values():
         for twin in (copy.copy(obj), copy.deepcopy(obj), pickle.loads(pickle.dumps(obj))):
             assert type(twin) is type(obj) and twin == obj and hash(twin) == hash(obj)
     assert pickle.loads(pickle.dumps(s)).values == s.values
+    assert IcgSpec.__match_args__ == ("n", "divisors")
+    assert Spectrum.__match_args__ == ("n", "classes")
+    assert hash(spec) == hash((12, (1, 4))) and hash(s) == hash((6, (1, -1, -2, 2)))
+    match spec:
+        case IcgSpec(n, ds):
+            assert (n, ds) == (12, (1, 4))
+        case _:
+            pytest.fail("IcgSpec(n, ds) did not match")
+    match s:
+        case Spectrum(n, classes):
+            assert (n, classes) == (6, (1, -1, -2, 2))
+        case _:
+            pytest.fail("Spectrum(n, classes) did not match")
 
 
 def test_spectrum_is_not_a_sequence_and_expands_values_once(monkeypatch):

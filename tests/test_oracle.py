@@ -168,6 +168,16 @@ def test_verify_against_trig_rejects_budget_below_one():
     assert verify_against_trig(60, budget=1).sets == 1
 
 
+def test_verify_against_trig_always_names_a_worst_spec():
+    # json_fields leaves None fields out, and _emit takes the CSV header from
+    # the first row, so every report must carry worst_spec, also when the
+    # only set compared deviates by exactly 0.0
+    reports = [verify_against_trig(n, budget=1) for n in range(2, 41)]
+    assert any(r.max_deviation == 0.0 for r in reports)
+    for r in reports:
+        assert isinstance(r.worst_spec, str), r
+
+
 def test_verify_against_trig_sampled_deterministic():
     # 360 has 23 proper divisors, far beyond the budget: sampling kicks in
     a = verify_against_trig(360, budget=40)
